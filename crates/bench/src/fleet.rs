@@ -113,7 +113,6 @@ pub fn warmed_learned_fleet(
                 ReconfigPolicy { budget: None, ..pol.clone() },
             );
             c.enable_inference_plan();
-            c.bind_universe(shard.active());
             c
         })
         .collect();

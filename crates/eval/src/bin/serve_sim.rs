@@ -9,13 +9,12 @@
 //! usage output on any flag error.
 
 use figret_eval::experiments::ExperimentOptions;
-use figret_eval::serving::{parse_topology, serve_sim, DemandMode, ServeEngine, ServeSimOptions};
+use figret_eval::serving::{parse_topology, serve_sim, ServeEngine, ServeSimOptions};
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
 
 fn main() {
     let flags = ExperimentOptions::flag_set("serve_sim", "online TE controller replay harness")
         .text("topology", "geant", "topology to serve (geant, pod-db, ..., torN, podfabN)")
-        .text("demand", "dense", "demand ingestion storage: dense | sparse")
         .text("engine", "learned", "candidate engine: lp | learned")
         .text("predictor", "last", "online predictor: last | ewma[:a] | mean[:w] | max[:w]")
         .float("hysteresis", 0.05, "predicted-regret threshold before reconfiguring")
@@ -40,11 +39,6 @@ fn main() {
         std::process::exit(2);
     };
     let topology = parse_topology(values.text("topology")).unwrap_or_else(|e| fail(e));
-    let demand = match values.text("demand") {
-        "dense" => DemandMode::Dense,
-        "sparse" => DemandMode::Sparse,
-        other => fail(format!("unknown demand mode '{other}' (expected dense | sparse)")),
-    };
     let predictor = PredictorKind::parse(values.text("predictor"), experiment.window)
         .unwrap_or_else(|e| fail(e));
     let engine = match values.text("engine") {
@@ -54,8 +48,7 @@ fn main() {
     };
     let use_plan = match values.text("inference") {
         "graph" => false,
-        "plan" if engine == ServeEngine::Learned => true,
-        "plan" => fail("--inference plan requires --engine learned".to_string()),
+        "plan" => true,
         other => fail(format!("unknown inference path '{other}' (expected graph | plan)")),
     };
     let policy = if values.switch("always-update") {
@@ -95,38 +88,24 @@ fn main() {
         }
     };
 
-    let retrain_every = values.number("retrain-every");
-    let shift_tick = values.number("shift-tick");
-    let online_ticks = values.number("online-ticks");
-    let shards = values.number("shards");
-    if retrain_every > 0 && engine != ServeEngine::Learned {
-        fail("--retrain-every requires --engine learned (recovery retrains a model)".to_string());
-    }
-    if retrain_every > 0 && shards > 0 {
-        fail("--retrain-every is not supported on the --shards harness (LP shards)".to_string());
-    }
-    if shift_tick > 0 && online_ticks == 0 {
-        fail("--shift-tick shifts the generated stream; it requires --online-ticks".to_string());
-    }
-
     let options = ServeSimOptions {
         topology,
-        demand,
         engine,
         predictor,
         policy,
-        online_ticks,
+        online_ticks: values.number("online-ticks"),
         max_ticks: Some(experiment.max_eval),
         use_plan,
-        shards,
-        retrain_every,
+        shards: values.number("shards"),
+        retrain_every: values.number("retrain-every"),
         retrain_window: values.number("retrain-window"),
         promotion_patience: values.number("promotion-patience"),
-        shift_tick,
+        shift_tick: values.number("shift-tick"),
         shift_factor: values.float("shift-factor"),
         metrics_out,
         metrics_every,
         experiment,
     };
+    options.validate().unwrap_or_else(|e| fail(e));
     serve_sim(&options);
 }

@@ -1,35 +1,31 @@
 //! Sharded-fleet serving harness and report (`serve_sim --shards N`;
 //! DESIGN.md §8).
 //!
-//! Drives a [`figret_serve::FleetController`] over the exact same scenario
-//! setup as the single-controller path — same pair universe, path set,
-//! trace, warmup and tick schedule — so a one-shard fleet replays the
-//! unsharded run bit for bit (CI diffs the digests).  Shards are balanced
-//! contiguous source blocks ([`figret_traffic::ShardPlan::source_blocks`]);
-//! the engine is always the warm-started LP, like the unsharded fabric
-//! path.
+//! Drives a [`figret_serve::FleetController`] through the same inputs
+//! builder and driver loop as the single-controller path
+//! ([`crate::serving`]) — same pair universe, path set, columns, warmup and
+//! tick schedule — so a one-shard fleet replays the unsharded run bit for
+//! bit (the golden digests pin both).  Shards are balanced contiguous
+//! source blocks ([`figret_traffic::ShardPlan::source_blocks`]); every
+//! shard serves the warm-started LP.
 //!
 //! The report answers the fleet-scaling questions: aggregate decisions/sec
 //! and wall-clock ticks/sec, per-shard decision-latency percentiles, and
 //! the shared admission layer's grant/hold statistics under the joint
 //! update budget.
 
-use std::sync::Arc;
-
-use figret_serve::{AdmissionStats, FleetController, HoldReason, ServeLog};
+use figret_serve::{AdmissionStats, FleetController, HoldReason, ServeLog, Transition};
 use figret_solvers::SeriesStats;
 use figret_telemetry::Registry;
-use figret_topology::{FabricSpec, Topology};
-use figret_traffic::{ActivePairs, ShardPlan};
+use figret_traffic::{ShardPlan, StreamAnnotation};
 
 use crate::profile::print_profile_report;
 use crate::report::{
     latency_histogram, latency_us, lp_work_columns, lp_work_header, print_csv_series, print_table,
 };
-use crate::scenario::Scenario;
 use crate::serving::{
-    print_fabric_memory, FabricMemory, FabricServeSetup, MetricsStream, ServeSimOptions,
-    ServeTopology,
+    drive, engine_name, print_fabric_memory, FabricMemory, ServeEngine, ServeInputs,
+    ServeSimOptions, Server,
 };
 
 /// The result of one sharded fleet serving run.
@@ -88,24 +84,63 @@ impl FleetRun {
     }
 }
 
-/// Runs a sharded fleet over the options' topology; see the module docs.
-pub fn serve_fleet(options: &ServeSimOptions, shards: usize) -> FleetRun {
-    assert!(shards >= 1, "a fleet needs at least one shard");
-    match options.topology {
-        ServeTopology::Fabric(spec) => serve_fleet_fabric(&spec, shards, options),
-        ServeTopology::Table1(topology) => serve_fleet_replay(topology, shards, options),
+/// A fleet and the exact global-MLU series the driver records.
+struct Fleet {
+    fleet: FleetController,
+    global_mlus: Vec<f64>,
+}
+
+impl Server for Fleet {
+    fn warm(&mut self, column: &[f64]) {
+        self.fleet.observe_column(column);
+    }
+
+    fn tick(&mut self, column: &[f64], _: Option<StreamAnnotation>) -> (usize, Vec<Transition>) {
+        let out = self.fleet.step_column(column);
+        self.global_mlus.push(out.global_mlu);
+        // LP shards raise no recovery transitions.
+        (out.tick, Vec::new())
+    }
+
+    fn enable_telemetry(&mut self) {
+        self.fleet.enable_telemetry();
+    }
+
+    fn telemetry_snapshot(&self) -> Option<Registry> {
+        self.fleet.telemetry_snapshot()
     }
 }
 
-fn finish_run(
-    fleet: FleetController,
-    name: String,
-    global_mlus: Vec<f64>,
-    serve_seconds: f64,
-    memory: Option<FabricMemory>,
-) -> FleetRun {
+/// Runs a sharded LP fleet over the options' scenario; see the module docs.
+///
+/// # Panics
+///
+/// Panics without at least one shard, with the learned engine, or on
+/// options [`ServeSimOptions::validate`] rejects.
+pub fn serve_fleet(options: &ServeSimOptions, shards: usize) -> FleetRun {
+    assert!(shards >= 1, "a fleet needs at least one shard");
+    assert_eq!(options.engine, ServeEngine::Lp, "fleet shards serve the LP engine");
+    let mut inputs = ServeInputs::build(options);
+    let plan = ShardPlan::source_blocks(&inputs.active, inputs.num_tors, shards);
+    let fleet = FleetController::lp(
+        &plan,
+        &inputs.paths,
+        options.experiment.window,
+        options.predictor,
+        &options.policy,
+    );
+    let mut served = Fleet { fleet, global_mlus: Vec::with_capacity(inputs.indices.len()) };
+    let serve_seconds = drive(&mut inputs, &mut served, options);
+    let Fleet { fleet, global_mlus } = served;
     FleetRun {
-        name,
+        name: format!(
+            "{} ({}, fleet, {} shards, {}, {} predictor)",
+            inputs.network,
+            inputs.kind,
+            fleet.num_shards(),
+            engine_name(options),
+            options.predictor.build().name()
+        ),
         shard_labels: fleet.shard_labels().into_iter().map(str::to_string).collect(),
         shard_pairs: fleet.shard_pairs(),
         global_mlus,
@@ -115,109 +150,10 @@ fn finish_run(
         total_pairs: fleet.total_pairs(),
         digest: fleet.digest(),
         decision_digest: fleet.decision_digest(),
-        memory,
+        memory: inputs.memory(),
         telemetry: fleet.telemetry_snapshot(),
         logs: fleet.into_logs(),
     }
-}
-
-/// Streams fleet metrics after one fleet tick: LP shards raise no recovery
-/// transitions, so the stream is periodic merged-registry snapshots (the
-/// snapshot covers every fleet phase span and every shard's counters).
-fn fleet_metrics_tick(metrics: &mut Option<MetricsStream>, tick: usize, fleet: &FleetController) {
-    if let Some(m) = metrics.as_mut() {
-        m.on_tick_lazy(tick, || fleet.telemetry_snapshot().expect("armed run"));
-    }
-}
-
-/// Sharded counterpart of [`crate::serving::serve_fabric`]: the shared
-/// [`FabricServeSetup`] guarantees the one-shard fleet sees the identical
-/// scenario.
-fn serve_fleet_fabric(spec: &FabricSpec, shards: usize, options: &ServeSimOptions) -> FleetRun {
-    let setup = FabricServeSetup::build(spec, options);
-    let plan = ShardPlan::source_blocks(&setup.active, setup.fabric.num_tors, shards);
-    let mut fleet = FleetController::lp(
-        &plan,
-        &setup.paths,
-        options.experiment.window,
-        options.predictor,
-        &options.policy,
-    );
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        fleet.enable_telemetry();
-    }
-    let serve_start = std::time::Instant::now();
-    for t in 0..setup.warmup {
-        fleet.observe_sparse(setup.trace.snapshot(t));
-    }
-    let mut global_mlus = Vec::with_capacity(setup.ticks.len());
-    for &t in &setup.ticks {
-        let out = fleet.step_sparse(setup.trace.snapshot(t));
-        fleet_metrics_tick(&mut metrics, out.tick, &fleet);
-        global_mlus.push(out.global_mlu);
-    }
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(&fleet.telemetry_snapshot().expect("armed run"));
-    }
-    let name = format!(
-        "{} ({} ToRs, fleet, {} shards, lp, {} predictor, sparse demands)",
-        setup.fabric.graph.name(),
-        setup.fabric.num_tors,
-        fleet.num_shards(),
-        options.predictor.build().name()
-    );
-    let memory = Some(setup.memory());
-    finish_run(fleet, name, global_mlus, serve_seconds, memory)
-}
-
-/// Sharded counterpart of [`crate::serving::serve_replay`] for the Table 1
-/// networks (LP engine, dense pair universe split into source blocks): the
-/// same warmup prefix and test-split tick schedule, so a one-shard fleet
-/// reproduces the unsharded replay digests.
-fn serve_fleet_replay(topology: Topology, shards: usize, options: &ServeSimOptions) -> FleetRun {
-    let scenario = Scenario::build(topology, &options.experiment.scenario_options());
-    let window = options.experiment.window;
-    let warmup = window;
-    let first = scenario.split.test.start.max(warmup);
-    let mut indices: Vec<usize> = (first..scenario.trace.len()).collect();
-    if let Some(cap) = options.max_ticks {
-        indices.truncate(cap);
-    }
-    let n = scenario.trace.num_nodes();
-    let active = Arc::new(ActivePairs::all(n));
-    let plan = ShardPlan::source_blocks(&active, n, shards);
-    let mut fleet =
-        FleetController::lp(&plan, &scenario.paths, window, options.predictor, &options.policy);
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        fleet.enable_telemetry();
-    }
-    let mut column = vec![0.0; active.len()];
-    let serve_start = std::time::Instant::now();
-    for t in first - warmup..first {
-        scenario.trace.matrix(t).flatten_pairs_into(&mut column);
-        fleet.observe_column(&column);
-    }
-    let mut global_mlus = Vec::with_capacity(indices.len());
-    for &t in &indices {
-        scenario.trace.matrix(t).flatten_pairs_into(&mut column);
-        let out = fleet.step_column(&column);
-        fleet_metrics_tick(&mut metrics, out.tick, &fleet);
-        global_mlus.push(out.global_mlu);
-    }
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(&fleet.telemetry_snapshot().expect("armed run"));
-    }
-    let name = format!(
-        "{} (replay, fleet, {} shards, lp, {} predictor)",
-        scenario.name,
-        fleet.num_shards(),
-        options.predictor.build().name()
-    );
-    finish_run(fleet, name, global_mlus, serve_seconds, None)
 }
 
 /// Prints the fleet report: aggregate throughput, admission statistics,
@@ -304,14 +240,15 @@ pub fn print_fleet_report(run: &FleetRun) {
 mod tests {
     use super::*;
     use crate::experiments::ExperimentOptions;
-    use crate::serving::serve_fabric;
+    use crate::serving::{serve, ServeTopology};
     use figret_serve::ReconfigPolicy;
+    use figret_topology::FabricSpec;
 
     fn fabric_options(spec: FabricSpec) -> ServeSimOptions {
         let experiment =
             ExperimentOptions { fast: true, snapshots: 10, window: 2, ..Default::default() };
         ServeSimOptions {
-            engine: crate::serving::ServeEngine::Lp,
+            engine: ServeEngine::Lp,
             policy: ReconfigPolicy::default(),
             max_ticks: Some(5),
             topology: ServeTopology::Fabric(spec),
@@ -323,7 +260,7 @@ mod tests {
     fn one_shard_fabric_fleet_matches_the_unsharded_run() {
         let spec = FabricSpec::jellyfish(48);
         let options = fabric_options(spec);
-        let solo = serve_fabric(&spec, &options);
+        let solo = serve(&options);
         let fleet = serve_fleet(&options, 1);
         assert_eq!(fleet.logs.len(), 1);
         assert_eq!(fleet.logs[0].records, solo.log.records);
@@ -361,7 +298,7 @@ mod tests {
             ..Default::default()
         };
         let options = ServeSimOptions {
-            engine: crate::serving::ServeEngine::Lp,
+            engine: ServeEngine::Lp,
             policy: ReconfigPolicy::always_update(),
             max_ticks: Some(4),
             topology: ServeTopology::Table1(figret_topology::Topology::MetaDbPod),

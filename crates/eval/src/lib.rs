@@ -22,4 +22,4 @@ pub use fleet::{print_fleet_report, serve_fleet, FleetRun};
 pub use profile::print_profile_report;
 pub use runner::{omniscient_series, run_scheme, EvalOptions, Scheme, SchemeRun};
 pub use scenario::{Scenario, ScenarioOptions};
-pub use serving::{serve_replay, ServeEngine, ServeRun, ServeSimOptions};
+pub use serving::{serve, ServeEngine, ServeRun, ServeSimOptions};

@@ -1,28 +1,40 @@
-//! Replay/online harness and report for the serving subsystem
-//! (`serve_sim` binary; DESIGN.md §6).
+//! The serving driver and its report (`serve_sim` binary; DESIGN.md §6).
 //!
-//! The harness drives a [`figret_serve::ServeController`] with demands
-//! pulled from a [`figret_traffic::DemandStream`] — either a replay of a
-//! scenario's test split (so every batch scenario is also a serving
-//! scenario, and results are directly comparable to [`crate::run_scheme`])
-//! or the unbounded online generator (diurnal + drift + flash crowds +
-//! failure storms).  The report scores what a production controller is
-//! judged by: MLU regret vs. the omniscient per-tick optimum, update count
-//! against the budget, routing churn, and per-decision latency percentiles.
+//! Every serving run goes through one loop, `drive`: `warmup` observation
+//! columns, then one decision tick per scheduled demand column.
+//! `ServeInputs::build` turns the options into that schedule — the path
+//! set, the pair universe, the warmup and tick schedule, and a per-tick
+//! pair-column source:
+//!
+//! * a replay of a Table 1 scenario's test split, converted to pair columns
+//!   once at load (so every batch scenario is also a serving scenario, and
+//!   results are directly comparable to [`crate::run_scheme`]);
+//! * the unbounded online generator (diurnal + drift + flash crowds +
+//!   failure storms), pulled one column per tick;
+//! * a generated 512–4096-ToR fabric's sparse trace, on its restricted pair
+//!   universe (nothing on that path materializes an `N×N` object).
+//!
+//! A single [`ServeController`] ([`serve`]) and a sharded fleet
+//! ([`crate::fleet::serve_fleet`]) differ only in the per-tick call.  The
+//! report scores what a production controller is judged by: MLU regret vs.
+//! the omniscient per-tick optimum (one pass over the same columns), update
+//! count against the budget, routing churn, and per-decision latency
+//! percentiles.
 //!
 //! **Batch-equivalence contract:** with [`ReconfigPolicy::always_update`],
-//! the LP engine and the last-value predictor, the replay harness re-solves
-//! exactly the per-snapshot series of `run_scheme(Prediction(LastSnapshot))`
-//! through an identical warm-started template, so its per-tick MLUs match
-//! the batch path bit for bit (`tests/serve_equivalence.rs` enforces 1e-9).
+//! the LP engine and the last-value predictor, the replay re-solves exactly
+//! the per-snapshot series of `run_scheme(Prediction(LastSnapshot))` through
+//! an identical warm-started template, so its per-tick MLUs match the batch
+//! path bit for bit (`tests/serve_equivalence.rs` enforces 1e-9).
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use figret::FigretModel;
 use figret_serve::{
     PredictorKind, ReconfigPolicy, RecoveryConfig, RecoveryStats, ServeController, ServeLog,
-    StepOutcome, Transition,
+    Transition,
 };
 use figret_solvers::{MluTemplate, SeriesStats};
 use figret_te::{max_link_utilization_pairs, normalize_by, PathSet, SchemeQuality};
@@ -30,8 +42,8 @@ use figret_telemetry::{exposition, JsonlSink, Registry};
 use figret_topology::{FabricSpec, Topology};
 use figret_traffic::{
     datacenter::{tor_trace_sparse, TorTrafficConfig},
-    per_pair_variance_range, ActivePairs, DemandMatrix, DemandStream, OnlineStream,
-    OnlineStreamConfig, ReplayStream, SparseTrace, StepShiftConfig, TrafficTrace, WindowDataset,
+    per_pair_variance_range, ActivePairs, OnlineStream, OnlineStreamConfig, SparseDemand,
+    SparseDemandStream, SparseTrace, StepShiftConfig, StreamAnnotation, WindowDataset,
 };
 
 use crate::experiments::ExperimentOptions;
@@ -49,18 +61,6 @@ pub enum ServeEngine {
     /// Learned inference (trained on the scenario's train split) with the
     /// LP as audit reference and degradation fallback.
     Learned,
-}
-
-/// What the controller ingests demands as.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DemandMode {
-    /// Dense [`DemandMatrix`] snapshots through the matrix adapter.
-    Dense,
-    /// Sparse columnar snapshots ([`SparseTrace`]) through the column entry
-    /// points.  On a Table 1 replay the columns are scattered back onto the
-    /// dense pair universe, so decisions are bit-identical to
-    /// [`DemandMode::Dense`] — CI diffs the digests.
-    Sparse,
 }
 
 /// What network the controller serves: one of the paper's Table 1 networks
@@ -81,8 +81,6 @@ pub struct ServeSimOptions {
     pub experiment: ExperimentOptions,
     /// Network to serve.
     pub topology: ServeTopology,
-    /// Demand-ingestion storage mode.
-    pub demand: DemandMode,
     /// Engine the controller serves from.
     pub engine: ServeEngine,
     /// Online predictor feeding the controller.
@@ -140,7 +138,6 @@ impl ServeSimOptions {
         ServeSimOptions {
             experiment,
             topology: ServeTopology::Table1(Topology::Geant),
-            demand: DemandMode::Dense,
             engine: ServeEngine::Learned,
             predictor: PredictorKind::LastValue,
             policy: ReconfigPolicy::default(),
@@ -156,6 +153,30 @@ impl ServeSimOptions {
             metrics_out: None,
             metrics_every: 10,
         }
+    }
+
+    /// Checks that the driver can serve this combination of options.  The
+    /// error names the offending `serve_sim` flags; nothing is ever
+    /// silently ignored.
+    pub fn validate(&self) -> Result<(), String> {
+        let learned = self.engine == ServeEngine::Learned;
+        let fabric = matches!(self.topology, ServeTopology::Fabric(_));
+        let error = if self.use_plan && !learned {
+            "--inference plan requires --engine learned"
+        } else if self.retrain_every > 0 && !learned {
+            "--retrain-every requires --engine learned (recovery retrains a model)"
+        } else if self.shift_tick > 0 && self.online_ticks == 0 {
+            "--shift-tick shifts the generated stream; it requires --online-ticks"
+        } else if learned && self.shards > 0 {
+            "--shards serves a fleet of LP shards; pass --engine lp"
+        } else if learned && fabric {
+            "fabric topologies (torN, podfabN) serve the LP engine; pass --engine lp"
+        } else if fabric && self.online_ticks > 0 {
+            "--online-ticks generates traffic on Table 1 networks; fabrics replay their trace"
+        } else {
+            return Ok(());
+        };
+        Err(error.to_string())
     }
 
     /// The recovery configuration of the run, when recovery is on.
@@ -177,7 +198,7 @@ impl ServeSimOptions {
 /// happen, registry snapshots every `every` decision ticks, a final
 /// snapshot at end of run, and the Prometheus-style exposition file written
 /// by [`MetricsStream::finish`].
-pub(crate) struct MetricsStream {
+struct MetricsStream {
     sink: JsonlSink,
     every: usize,
     prom_path: PathBuf,
@@ -189,7 +210,7 @@ impl MetricsStream {
     /// `None` when metrics are off.  The serve_sim entry point validated
     /// the parent directory, so file creation failing here is a race (the
     /// directory vanished), reported as a panic with the path.
-    pub(crate) fn create(options: &ServeSimOptions) -> Option<MetricsStream> {
+    fn create(options: &ServeSimOptions) -> Option<MetricsStream> {
         let base = options.metrics_out.as_ref()?;
         let jsonl_path = PathBuf::from(format!("{}.jsonl", base.display()));
         let prom_path = PathBuf::from(format!("{}.prom", base.display()));
@@ -200,8 +221,15 @@ impl MetricsStream {
     }
 
     /// Streams one finished tick: every transition as its own event line,
-    /// and a full registry snapshot every `every` ticks.
-    pub(crate) fn on_tick(&mut self, tick: usize, transitions: &[Transition], registry: &Registry) {
+    /// and a registry snapshot every `every` ticks.  The registry is built
+    /// lazily — a fleet's merged snapshot is only materialized on the ticks
+    /// that emit one.
+    fn on_tick(
+        &mut self,
+        tick: usize,
+        transitions: &[Transition],
+        registry: impl FnOnce() -> Registry,
+    ) {
         for t in transitions {
             self.sink
                 .event("transition", tick as u64, &[("kind", &format!("{t:?}"))])
@@ -209,28 +237,12 @@ impl MetricsStream {
         }
         self.served += 1;
         if self.served.is_multiple_of(self.every) {
-            self.sink.snapshot(tick as u64, registry).expect("metrics stream write failed");
-        }
-    }
-
-    /// Convenience wrapper over [`MetricsStream::on_tick`] for a
-    /// single-controller step outcome.
-    pub(crate) fn on_outcome(&mut self, outcome: &StepOutcome, registry: &Registry) {
-        self.on_tick(outcome.record.tick, &outcome.transitions, registry);
-    }
-
-    /// Like [`MetricsStream::on_tick`] but with a lazily built registry —
-    /// the fleet's merged snapshot is only materialized on the ticks that
-    /// actually emit one.
-    pub(crate) fn on_tick_lazy(&mut self, tick: usize, registry: impl FnOnce() -> Registry) {
-        self.served += 1;
-        if self.served.is_multiple_of(self.every) {
             self.sink.snapshot(tick as u64, &registry()).expect("metrics stream write failed");
         }
     }
 
     /// Writes the final snapshot, the exposition file, and flushes.
-    pub(crate) fn finish(&mut self, registry: &Registry) {
+    fn finish(&mut self, registry: &Registry) {
         self.sink.snapshot(self.served as u64, registry).expect("metrics stream write failed");
         self.sink.flush().expect("metrics stream flush failed");
         std::fs::write(&self.prom_path, exposition(registry))
@@ -438,102 +450,303 @@ pub fn parse_topology(spec: &str) -> Result<ServeTopology, String> {
         })
 }
 
-/// Builds the controller for a scenario: trains the FIGRET model on the
-/// train split for [`ServeEngine::Learned`], or goes straight to the LP.
-fn build_controller(scenario: &Scenario, options: &ServeSimOptions) -> ServeController {
+/// Where a run's demand columns come from.
+enum ColumnSource {
+    /// Recorded snapshots on the pair universe, one per column: a Table 1
+    /// trace converted once at load, or a generated fabric's sparse trace.
+    Trace(SparseTrace),
+    /// The unbounded online generator, pulled one column per tick.  Pulled
+    /// columns and their episode annotations are kept for the omniscient
+    /// pass.
+    Online { stream: Box<OnlineStream>, pulled: Vec<(SparseDemand, StreamAnnotation)> },
+}
+
+impl ColumnSource {
+    /// Column `k` of the run (the warmup columns first, then one per
+    /// decision tick) and, online, the generator's annotation of it.
+    /// Online columns are generated in order on first use.
+    fn column(&mut self, k: usize) -> (&[f64], Option<StreamAnnotation>) {
+        match self {
+            ColumnSource::Trace(trace) => (trace.snapshot(k).values(), None),
+            ColumnSource::Online { stream, pulled } => {
+                while pulled.len() <= k {
+                    let column = stream.next_column().expect("the online stream is endless");
+                    pulled.push((column, stream.annotation()));
+                }
+                let (column, annotation) = &pulled[k];
+                (column.values(), Some(*annotation))
+            }
+        }
+    }
+}
+
+/// Everything a serving run needs besides its controller: the network, the
+/// warmup and tick schedule, and the per-tick pair-column source.  Built
+/// identically for a single controller and a fleet, so `--shards 1` serves
+/// the exact scenario of the unsharded run and must match its digests.
+pub(crate) struct ServeInputs {
+    /// Network display name (Table 1 name or fabric graph name).
+    pub network: String,
+    /// Run kind for display: `replay`, `online` or `N ToRs, fabric`.
+    pub kind: String,
+    /// Candidate paths of every pair of `active`.
+    pub paths: PathSet,
+    /// The pair universe of every column (what a fleet shards).
+    pub active: Arc<ActivePairs>,
+    /// Traffic-bearing nodes: the source-block partitioning granularity.
+    pub num_tors: usize,
+    /// Observation-only columns before the first decision.
+    pub warmup: usize,
+    /// Replay: the snapshot index served at each decision tick.  Online:
+    /// the tick numbers themselves.
+    pub indices: Vec<usize>,
+    source: ColumnSource,
+    /// The Table 1 scenario a learned engine trains on (`None` on fabrics).
+    scenario: Option<Scenario>,
+    /// Fabric runs: demand-storage accounting, peak RSS filled in on read.
+    memory: Option<FabricMemory>,
+}
+
+impl ServeInputs {
+    /// The one inputs builder of the serving driver; see the module docs.
+    pub(crate) fn build(options: &ServeSimOptions) -> ServeInputs {
+        if let Err(e) = options.validate() {
+            panic!("unservable options: {e}");
+        }
+        let window = options.experiment.window;
+        // Replay ticks are contiguous, so the cap truncates the schedule.
+        let schedule = |first: usize, len: usize| -> Vec<usize> {
+            (first..len).take(options.max_ticks.unwrap_or(usize::MAX)).collect()
+        };
+        match options.topology {
+            ServeTopology::Table1(topology) => {
+                let scenario = Scenario::build(topology, &options.experiment.scenario_options());
+                let n = scenario.trace.num_nodes();
+                let active = Arc::new(ActivePairs::all(n));
+                let interval = scenario.trace.interval_seconds();
+                let (kind, source, indices) = if options.online_ticks > 0 {
+                    let config = OnlineStreamConfig {
+                        interval_seconds: interval,
+                        seed: 0x5eed ^ (options.online_ticks as u64),
+                        // Shift ticks count decision ticks, so the
+                        // stream-side trigger sits past the warmup.
+                        shift: (options.shift_tick > 0).then(|| StepShiftConfig {
+                            at_tick: window + options.shift_tick,
+                            factor: options.shift_factor,
+                        }),
+                        ..Default::default()
+                    };
+                    let stream = Box::new(OnlineStream::from_graph(&scenario.graph, 0.25, config));
+                    let source = ColumnSource::Online { stream, pulled: Vec::new() };
+                    ("online", source, (0..options.online_ticks).collect())
+                } else {
+                    let first = scenario.split.test.start.max(window);
+                    let indices = schedule(first, scenario.trace.len());
+                    // Convert the served snapshots to pair columns once.
+                    let columns = (first - window..first + indices.len())
+                        .map(|t| SparseDemand::from_matrix(scenario.trace.matrix(t), &active))
+                        .collect();
+                    let name = scenario.trace.name();
+                    let trace = SparseTrace::new(name, interval, Arc::clone(&active), columns);
+                    ("replay", ColumnSource::Trace(trace), indices)
+                };
+                ServeInputs {
+                    network: scenario.name.clone(),
+                    kind: kind.to_string(),
+                    paths: scenario.paths.clone(),
+                    active,
+                    num_tors: n,
+                    warmup: window,
+                    indices,
+                    source,
+                    scenario: Some(scenario),
+                    memory: None,
+                }
+            }
+            ServeTopology::Fabric(spec) => {
+                let fabric = spec.build();
+                let n = fabric.graph.num_nodes();
+                // Fixed per-source fan-out: density per_source/(tors-1), i.e.
+                // ~1.6% at 1024 ToRs with the default 16.  Small fabrics have
+                // fewer destinations than that.
+                let per_source = if options.experiment.fast { 8 } else { 16 };
+                let per_source = per_source.min(fabric.num_tors - 1);
+                let active = Arc::new(ActivePairs::sample_among(
+                    n,
+                    fabric.num_tors,
+                    per_source,
+                    spec.seed ^ 0xfab,
+                ));
+                let paths = PathSet::k_shortest_for_pairs(&fabric.graph, &active, 3);
+                let traffic = TorTrafficConfig {
+                    num_snapshots: options.experiment.snapshots,
+                    seed: spec.seed,
+                    ..Default::default()
+                };
+                let trace = tor_trace_sparse(&fabric.graph, &active, &traffic);
+                let warmup = window.max(1).min(trace.len().saturating_sub(1));
+                let memory = FabricMemory {
+                    num_nodes: n,
+                    num_tors: fabric.num_tors,
+                    active_pairs: active.len(),
+                    index_bytes: active.index_bytes(),
+                    sparse_trace_bytes: trace.demand_storage_bytes(),
+                    dense_trace_bytes: trace.len() * n * n * std::mem::size_of::<f64>(),
+                    peak_rss_bytes: None,
+                };
+                ServeInputs {
+                    network: fabric.graph.name().to_string(),
+                    kind: format!("{} ToRs, fabric", fabric.num_tors),
+                    paths,
+                    active,
+                    num_tors: fabric.num_tors,
+                    warmup,
+                    indices: schedule(warmup, trace.len()),
+                    source: ColumnSource::Trace(trace),
+                    scenario: None,
+                    memory: Some(memory),
+                }
+            }
+        }
+    }
+
+    /// The omniscient per-tick optimum over the decision columns, solved
+    /// through one warm-started template (sequential, deterministic).
+    fn omniscient(&mut self) -> Vec<f64> {
+        let paths = &self.paths;
+        let source = &mut self.source;
+        let mut template = MluTemplate::new(paths);
+        (self.warmup..self.warmup + self.indices.len())
+            .map(|k| {
+                let (column, _) = source.column(k);
+                let (config, _) = template
+                    .solve(paths, column)
+                    .expect("the omniscient min-MLU LP must be solvable");
+                max_link_utilization_pairs(paths, &config, column)
+            })
+            .collect()
+    }
+
+    /// Fabric runs: the demand-storage accounting, with the process's peak
+    /// RSS so far.
+    pub(crate) fn memory(&self) -> Option<FabricMemory> {
+        self.memory.map(|m| FabricMemory { peak_rss_bytes: peak_rss_bytes(), ..m })
+    }
+}
+
+/// What the driver ticks: a single controller or a sharded fleet.  The two
+/// differ only in the per-tick call.
+pub(crate) trait Server {
+    /// Ingests a warmup column without a decision.
+    fn warm(&mut self, column: &[f64]);
+    /// One decision tick on the realized `column` (with the online
+    /// stream's annotation of it, if any); returns the tick index and the
+    /// recovery transitions the tick produced.
+    fn tick(
+        &mut self,
+        column: &[f64],
+        annotation: Option<StreamAnnotation>,
+    ) -> (usize, Vec<Transition>);
+    /// Arms out-of-band telemetry.
+    fn enable_telemetry(&mut self);
+    /// The telemetry registry snapshot, when armed.
+    fn telemetry_snapshot(&self) -> Option<Registry>;
+}
+
+/// A single [`ServeController`] and the log the driver records into.
+struct Solo {
+    controller: ServeController,
+    log: ServeLog,
+}
+
+impl Server for Solo {
+    fn warm(&mut self, column: &[f64]) {
+        self.controller.observe_pairs(column);
+    }
+
+    fn tick(
+        &mut self,
+        column: &[f64],
+        annotation: Option<StreamAnnotation>,
+    ) -> (usize, Vec<Transition>) {
+        let outcome = self.controller.step_pairs(column);
+        if let Some(annotation) = annotation {
+            self.log.annotate(outcome.record.tick, annotation);
+        }
+        self.log.record_outcome(&outcome);
+        (outcome.record.tick, outcome.transitions)
+    }
+
+    fn enable_telemetry(&mut self) {
+        self.controller.enable_telemetry();
+    }
+
+    fn telemetry_snapshot(&self) -> Option<Registry> {
+        self.controller.telemetry_snapshot()
+    }
+}
+
+/// The one serving loop: arms metrics when asked, feeds the warmup columns,
+/// then makes one decision tick per scheduled column.  Returns the
+/// wall-clock seconds of the loop (warmup and ingestion included, setup
+/// and the omniscient pass excluded).
+pub(crate) fn drive(
+    inputs: &mut ServeInputs,
+    server: &mut dyn Server,
+    options: &ServeSimOptions,
+) -> f64 {
+    let mut metrics = MetricsStream::create(options);
+    if metrics.is_some() {
+        server.enable_telemetry();
+    }
+    let start = Instant::now();
+    for k in 0..inputs.warmup {
+        server.warm(inputs.source.column(k).0);
+    }
+    for k in inputs.warmup..inputs.warmup + inputs.indices.len() {
+        let (column, annotation) = inputs.source.column(k);
+        let (tick, transitions) = server.tick(column, annotation);
+        if let Some(m) = metrics.as_mut() {
+            m.on_tick(tick, &transitions, || server.telemetry_snapshot().expect("armed run"));
+        }
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    if let Some(m) = metrics.as_mut() {
+        m.finish(&server.telemetry_snapshot().expect("armed run"));
+    }
+    seconds
+}
+
+/// Builds the controller: trains the FIGRET model on the scenario's train
+/// split for [`ServeEngine::Learned`], or goes straight to the LP.
+fn build_controller(inputs: &ServeInputs, options: &ServeSimOptions) -> ServeController {
     let predictor = options.predictor.build();
-    match options.engine {
-        ServeEngine::Lp => ServeController::lp(
-            &scenario.paths,
-            options.experiment.window,
-            predictor,
-            options.policy.clone(),
-        ),
-        ServeEngine::Learned => {
-            let cfg = options.experiment.learning_config();
-            let variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
-            let dataset = WindowDataset::from_trace(
-                &scenario.trace,
-                cfg.history_window,
-                scenario.split.train.clone(),
-            );
-            let mut model = FigretModel::new(&scenario.paths, &variances, cfg);
-            model.train(&dataset);
-            let mut controller =
-                ServeController::learned(&scenario.paths, model, predictor, options.policy.clone());
-            if options.use_plan {
-                controller.enable_inference_plan();
-            }
-            if let Some(recovery) = options.recovery_config() {
-                controller.enable_recovery(recovery);
-            }
-            controller
-        }
+    let policy = options.policy.clone();
+    if options.engine == ServeEngine::Lp {
+        return ServeController::lp(&inputs.paths, options.experiment.window, predictor, policy);
     }
-}
-
-/// Runs the serving loop: `warmup` observations, then one decision tick per
-/// demand (at most `ticks`, or until the stream ends).  Returns the log and
-/// the realized demands, in tick order.
-fn drive(
-    controller: &mut ServeController,
-    stream: &mut dyn DemandStream,
-    warmup: usize,
-    ticks: Option<usize>,
-    mut metrics: Option<&mut MetricsStream>,
-) -> (ServeLog, Vec<DemandMatrix>) {
-    for _ in 0..warmup {
-        let demand = stream.next_demand().expect("stream ended during controller warmup");
-        controller.observe(&demand);
+    let scenario = inputs.scenario.as_ref().expect("fabric topologies serve the LP engine");
+    let cfg = options.experiment.learning_config();
+    let variances = per_pair_variance_range(&scenario.trace, scenario.split.train.clone());
+    let dataset = WindowDataset::from_trace(
+        &scenario.trace,
+        cfg.history_window,
+        scenario.split.train.clone(),
+    );
+    let mut model = FigretModel::new(&scenario.paths, &variances, cfg);
+    model.train(&dataset);
+    let mut controller = ServeController::learned(&scenario.paths, model, predictor, policy);
+    if options.use_plan {
+        controller.enable_inference_plan();
     }
-    let mut log = ServeLog::new();
-    let mut realized = Vec::new();
-    let limit = ticks.unwrap_or(usize::MAX);
-    while realized.len() < limit {
-        let Some(demand) = stream.next_demand() else { break };
-        let outcome = controller.step(&demand);
-        if let Some(m) = metrics.as_deref_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
-        }
-        log.push(outcome.record, outcome.decision_seconds);
-        realized.push(demand);
+    if let Some(recovery) = options.recovery_config() {
+        controller.enable_recovery(recovery);
     }
-    (log, realized)
+    controller
 }
 
-/// The omniscient per-tick optimum over a demand sequence, solved through
-/// one warm-started template (sequential, deterministic).
-fn omniscient_over(paths: &PathSet, demands: &[DemandMatrix]) -> Vec<f64> {
-    let mut template = MluTemplate::new(paths);
-    // One flatten buffer for the whole series, not one allocation per solve.
-    let mut pairs = vec![0.0; paths.num_pairs()];
-    demands
-        .iter()
-        .map(|demand| {
-            demand.flatten_pairs_into(&mut pairs);
-            let (config, _) =
-                template.solve(paths, &pairs).expect("the omniscient min-MLU LP must be solvable");
-            max_link_utilization_pairs(paths, &config, &pairs)
-        })
-        .collect()
-}
-
-/// The omniscient per-tick optimum over a sparse snapshot range, solved on
-/// the restricted pair universe of `paths` (columns feed the LP directly).
-fn omniscient_over_sparse(paths: &PathSet, trace: &SparseTrace, ticks: &[usize]) -> Vec<f64> {
-    let mut template = MluTemplate::new(paths);
-    ticks
-        .iter()
-        .map(|&t| {
-            let column = trace.snapshot(t).values();
-            let (config, _) =
-                template.solve(paths, column).expect("the omniscient min-MLU LP must be solvable");
-            max_link_utilization_pairs(paths, &config, column)
-        })
-        .collect()
-}
-
-fn engine_name(options: &ServeSimOptions) -> &'static str {
+/// The engine part of a run's display name.
+pub(crate) fn engine_name(options: &ServeSimOptions) -> &'static str {
     match options.engine {
         ServeEngine::Lp => "lp",
         ServeEngine::Learned if options.use_plan => "learned/plan",
@@ -541,284 +754,37 @@ fn engine_name(options: &ServeSimOptions) -> &'static str {
     }
 }
 
-/// Replays the scenario's test split through the controller; see the
-/// module docs for the batch-equivalence contract.
-pub fn serve_replay(scenario: &Scenario, options: &ServeSimOptions) -> ServeRun {
-    let window = options.experiment.window;
-    let mut controller = build_controller(scenario, options);
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        controller.enable_telemetry();
-    }
-    let warmup = controller.window().max(window);
-    let first = scenario.split.test.start.max(warmup);
-    let mut indices: Vec<usize> = (first..scenario.trace.len()).collect();
-    if let Some(cap) = options.max_ticks {
-        indices.truncate(cap);
-    }
-    let serve_start = std::time::Instant::now();
-    let (log, realized) = match options.demand {
-        DemandMode::Dense => {
-            let mut stream = ReplayStream::once(scenario.trace.clone()).starting_at(first - warmup);
-            drive(&mut controller, &mut stream, warmup, Some(indices.len()), metrics.as_mut())
-        }
-        DemandMode::Sparse => drive_replay_sparse(
-            &mut controller,
-            &scenario.trace,
-            first - warmup,
-            warmup,
-            &indices,
-            metrics.as_mut(),
-        ),
-    };
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(controller.telemetry_registry().expect("armed run"));
-    }
-    assert_eq!(log.len(), indices.len(), "one decision per replayed test snapshot");
-    let omniscient = omniscient_over(&scenario.paths, &realized);
-    ServeRun {
-        name: format!(
-            "{} (replay, {}, {} predictor, {} demands)",
-            scenario.name,
-            engine_name(options),
-            options.predictor.build().name(),
-            match options.demand {
-                DemandMode::Dense => "dense",
-                DemandMode::Sparse => "sparse",
-            }
-        ),
-        indices,
-        log,
-        omniscient,
-        lp_stats: *controller.lp_stats(),
-        fell_back: controller.fell_back(),
-        memory: None,
-        serve_seconds,
-        pairs_per_tick: scenario.paths.num_pairs(),
-        recovery: controller.recovery_enabled().then(|| controller.recovery_stats()),
-        telemetry: controller.telemetry_snapshot(),
-    }
-}
-
-/// The sparse-columnar replay path: converts the trace to a [`SparseTrace`]
-/// over its union support, scatters each column onto the controller's dense
-/// pair universe (a reused buffer) and drives the column entry points.  The
-/// scattered columns equal `flatten_pairs` of the originals exactly, so the
-/// decision sequence is bit-identical to the dense path.
-fn drive_replay_sparse(
-    controller: &mut ServeController,
-    trace: &TrafficTrace,
-    start: usize,
-    warmup: usize,
-    indices: &[usize],
-    mut metrics: Option<&mut MetricsStream>,
-) -> (ServeLog, Vec<DemandMatrix>) {
-    let strace = SparseTrace::from_trace(trace);
-    let mut column = vec![0.0; strace.active().num_total_pairs()];
-    for t in start..start + warmup {
-        strace.snapshot(t).scatter_pairs_into(&mut column);
-        controller.observe_pairs(&column);
-    }
-    let mut log = ServeLog::new();
-    let mut realized = Vec::with_capacity(indices.len());
-    for (offset, &index) in indices.iter().enumerate() {
-        let t = start + warmup + offset;
-        debug_assert_eq!(t, index, "replay ticks must be contiguous");
-        strace.snapshot(t).scatter_pairs_into(&mut column);
-        let outcome = controller.step_pairs(&column);
-        if let Some(m) = metrics.as_deref_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
-        }
-        log.push(outcome.record, outcome.decision_seconds);
-        realized.push(trace.matrix(t).clone());
-    }
-    (log, realized)
-}
-
-/// Serves `ticks` demands from the unbounded online generator (warmed up on
-/// the same stream).  The model, when learned, is still trained on the
-/// scenario's recorded train split — serving synthetic drift with a model
-/// trained on yesterday's traffic is exactly the distribution-shift
-/// situation the fallback policy guards against.
-pub fn serve_online(scenario: &Scenario, ticks: usize, options: &ServeSimOptions) -> ServeRun {
-    let mut controller = build_controller(scenario, options);
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        controller.enable_telemetry();
-    }
-    let warmup = controller.window().max(options.experiment.window);
-    let stream_config = OnlineStreamConfig {
-        interval_seconds: scenario.trace.interval_seconds(),
-        seed: 0x5eed ^ (ticks as u64),
-        // Shift ticks count decision ticks, so the stream-side trigger sits
-        // past the warmup observations.
-        shift: (options.shift_tick > 0).then(|| StepShiftConfig {
-            at_tick: warmup + options.shift_tick,
-            factor: options.shift_factor,
-        }),
-        ..Default::default()
-    };
-    let mut stream = OnlineStream::from_graph(&scenario.graph, 0.25, stream_config);
-    let serve_start = std::time::Instant::now();
-    for _ in 0..warmup {
-        let demand = stream.next_demand().expect("the online stream is endless");
-        controller.observe(&demand);
-    }
-    // The online loop records transitions and stream annotations alongside
-    // the decision records (unlike the replay path's plain `drive`), so the
-    // report can narrate the recovery ladder against the stream's episodes.
-    let mut log = ServeLog::new();
-    let mut realized = Vec::with_capacity(ticks);
-    while realized.len() < ticks {
-        let demand = stream.next_demand().expect("the online stream is endless");
-        let outcome = controller.step(&demand);
-        if let Some(m) = metrics.as_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
-        }
-        log.annotate(outcome.record.tick, stream.annotation());
-        log.record_outcome(&outcome);
-        realized.push(demand);
-    }
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(controller.telemetry_registry().expect("armed run"));
-    }
-    let omniscient = omniscient_over(&scenario.paths, &realized);
-    ServeRun {
-        name: format!(
-            "{} (online, {}, {} predictor)",
-            scenario.name,
-            engine_name(options),
-            options.predictor.build().name()
-        ),
-        indices: (0..log.len()).collect(),
-        log,
-        omniscient,
-        lp_stats: *controller.lp_stats(),
-        fell_back: controller.fell_back(),
-        memory: None,
-        serve_seconds,
-        pairs_per_tick: scenario.paths.num_pairs(),
-        recovery: controller.recovery_enabled().then(|| controller.recovery_stats()),
-        telemetry: controller.telemetry_snapshot(),
-    }
-}
-
-/// The shared setup of a fabric serving run — identical for the unsharded
-/// path and the sharded fleet, so `--shards 1` replays the exact same
-/// scenario (same universe, paths, trace, warmup, tick schedule) and its
-/// digests must match the unsharded run's.
-pub(crate) struct FabricServeSetup {
-    pub fabric: figret_topology::Fabric,
-    pub active: Arc<ActivePairs>,
-    pub paths: PathSet,
-    pub trace: SparseTrace,
-    /// Observation-only snapshots before the first decision.
-    pub warmup: usize,
-    /// Snapshot indices served as decision ticks, in order.
-    pub ticks: Vec<usize>,
-}
-
-impl FabricServeSetup {
-    pub(crate) fn build(spec: &FabricSpec, options: &ServeSimOptions) -> FabricServeSetup {
-        let fabric = spec.build();
-        let n = fabric.graph.num_nodes();
-        // Fixed per-source fan-out: density per_source/(tors-1), i.e. ~1.6%
-        // at 1024 ToRs with the default 16.
-        let per_source = if options.experiment.fast { 8 } else { 16 };
-        let active =
-            Arc::new(ActivePairs::sample_among(n, fabric.num_tors, per_source, spec.seed ^ 0xfab));
-        let paths = PathSet::k_shortest_for_pairs(&fabric.graph, &active, 3);
-        let trace = tor_trace_sparse(
-            &fabric.graph,
-            &active,
-            &TorTrafficConfig {
-                num_snapshots: options.experiment.snapshots,
-                seed: spec.seed,
-                ..Default::default()
-            },
-        );
-        let window = options.experiment.window;
-        let warmup = window.max(1).min(trace.len().saturating_sub(1));
-        let mut ticks: Vec<usize> = (warmup..trace.len()).collect();
-        if let Some(cap) = options.max_ticks {
-            ticks.truncate(cap);
-        }
-        FabricServeSetup { fabric, active, paths, trace, warmup, ticks }
-    }
-
-    pub(crate) fn memory(&self) -> FabricMemory {
-        let n = self.fabric.graph.num_nodes();
-        FabricMemory {
-            num_nodes: n,
-            num_tors: self.fabric.num_tors,
-            active_pairs: self.active.len(),
-            index_bytes: self.active.index_bytes(),
-            sparse_trace_bytes: self.trace.demand_storage_bytes(),
-            dense_trace_bytes: self.trace.len() * n * n * std::mem::size_of::<f64>(),
-            peak_rss_bytes: peak_rss_bytes(),
-        }
-    }
-}
-
-/// Serves a generated 512–4096-ToR fabric end to end on the sparse core:
-/// restricted pair universe ([`ActivePairs::sample_among`]), restricted
-/// path set ([`PathSet::k_shortest_for_pairs`]), sparse ToR traffic and the
-/// controller's column entry points.  Nothing on this path materializes an
-/// `N×N` object — demand storage is proportional to the active-pair count.
+/// Serves the options' scenario through one [`ServeController`]; see the
+/// module docs.
 ///
-/// The engine is always the warm-started LP (training a model on a generated
-/// fabric is out of scope for the serving harness).
-pub fn serve_fabric(spec: &FabricSpec, options: &ServeSimOptions) -> ServeRun {
-    let setup = FabricServeSetup::build(spec, options);
-    let window = options.experiment.window;
-    let mut controller = ServeController::lp(
-        &setup.paths,
-        window,
-        options.predictor.build(),
-        options.policy.clone(),
-    );
-    controller.bind_universe(&setup.active);
-    let mut metrics = MetricsStream::create(options);
-    if metrics.is_some() {
-        controller.enable_telemetry();
-    }
-    let serve_start = std::time::Instant::now();
-    for t in 0..setup.warmup {
-        controller.observe_sparse(setup.trace.snapshot(t));
-    }
-    let mut log = ServeLog::new();
-    for &t in &setup.ticks {
-        let outcome = controller.step_sparse(setup.trace.snapshot(t));
-        if let Some(m) = metrics.as_mut() {
-            m.on_outcome(&outcome, controller.telemetry_registry().expect("armed run"));
-        }
-        log.push(outcome.record, outcome.decision_seconds);
-    }
-    let serve_seconds = serve_start.elapsed().as_secs_f64();
-    if let Some(m) = metrics.as_mut() {
-        m.finish(controller.telemetry_registry().expect("armed run"));
-    }
-    let omniscient = omniscient_over_sparse(&setup.paths, &setup.trace, &setup.ticks);
-    let memory = setup.memory();
+/// # Panics
+///
+/// Panics on options [`ServeSimOptions::validate`] rejects.
+pub fn serve(options: &ServeSimOptions) -> ServeRun {
+    let mut inputs = ServeInputs::build(options);
+    let mut solo = Solo { controller: build_controller(&inputs, options), log: ServeLog::new() };
+    let serve_seconds = drive(&mut inputs, &mut solo, options);
+    let Solo { controller, log } = solo;
+    assert_eq!(log.len(), inputs.indices.len(), "one decision per scheduled column");
+    let omniscient = inputs.omniscient();
     ServeRun {
         name: format!(
-            "{} ({} ToRs, fabric, lp, {} predictor, sparse demands)",
-            setup.fabric.graph.name(),
-            setup.fabric.num_tors,
+            "{} ({}, {}, {} predictor)",
+            inputs.network,
+            inputs.kind,
+            engine_name(options),
             options.predictor.build().name()
         ),
-        indices: setup.ticks,
         log,
         omniscient,
         lp_stats: *controller.lp_stats(),
-        fell_back: false,
-        memory: Some(memory),
+        fell_back: controller.fell_back(),
+        memory: inputs.memory(),
         serve_seconds,
-        pairs_per_tick: setup.active.len(),
-        recovery: None,
+        pairs_per_tick: inputs.active.len(),
+        recovery: controller.recovery_enabled().then(|| controller.recovery_stats()),
         telemetry: controller.telemetry_snapshot(),
+        indices: inputs.indices,
     }
 }
 
@@ -987,31 +953,18 @@ pub fn print_serve_report(run: &ServeRun) {
 
 /// Runs the full `serve_sim` experiment for the options and prints the
 /// report.  With `--shards N` (> 0) the run goes through the sharded fleet
-/// harness instead of the single controller.
+/// instead of the single controller.
 pub fn serve_sim(options: &ServeSimOptions) {
     if options.shards > 0 {
-        let run = crate::fleet::serve_fleet(options, options.shards);
-        crate::fleet::print_fleet_report(&run);
-        return;
+        crate::fleet::print_fleet_report(&crate::fleet::serve_fleet(options, options.shards));
+    } else {
+        print_serve_report(&serve(options));
     }
-    let run = match options.topology {
-        ServeTopology::Fabric(spec) => serve_fabric(&spec, options),
-        ServeTopology::Table1(topology) => {
-            let scenario = Scenario::build(topology, &options.experiment.scenario_options());
-            if options.online_ticks > 0 {
-                serve_online(&scenario, options.online_ticks, options)
-            } else {
-                serve_replay(&scenario, options)
-            }
-        }
-    };
-    print_serve_report(&run);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioOptions;
 
     fn tiny_options(engine: ServeEngine) -> ServeSimOptions {
         let experiment = ExperimentOptions {
@@ -1030,17 +983,9 @@ mod tests {
         }
     }
 
-    fn pod_scenario() -> Scenario {
-        Scenario::build(
-            Topology::MetaDbPod,
-            &ScenarioOptions { num_snapshots: 60, ..Default::default() },
-        )
-    }
-
     #[test]
     fn replay_reports_regret_above_one() {
-        let scenario = pod_scenario();
-        let run = serve_replay(&scenario, &tiny_options(ServeEngine::Lp));
+        let run = serve(&tiny_options(ServeEngine::Lp));
         assert_eq!(run.log.len(), 6);
         assert_eq!(run.indices.len(), 6);
         assert_eq!(run.omniscient.len(), 6);
@@ -1052,8 +997,7 @@ mod tests {
 
     #[test]
     fn online_mode_serves_generated_ticks() {
-        let scenario = pod_scenario();
-        let run = serve_online(&scenario, 5, &tiny_options(ServeEngine::Lp));
+        let run = serve(&ServeSimOptions { online_ticks: 5, ..tiny_options(ServeEngine::Lp) });
         assert_eq!(run.log.len(), 5);
         assert!(run.log.realized_mlus().iter().all(|m| m.is_finite() && *m > 0.0));
         let regret = run.regret();
@@ -1062,10 +1006,9 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic_across_runs() {
-        let scenario = pod_scenario();
         let options = tiny_options(ServeEngine::Lp);
-        let a = serve_replay(&scenario, &options);
-        let b = serve_replay(&scenario, &options);
+        let a = serve(&options);
+        let b = serve(&options);
         assert_eq!(a.log.records, b.log.records);
         assert_eq!(a.log.digest(), b.log.digest());
         assert_eq!(a.omniscient, b.omniscient);
@@ -1103,18 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_replay_is_bit_identical_to_dense_replay() {
-        let scenario = pod_scenario();
-        let mut options = tiny_options(ServeEngine::Lp);
-        let dense = serve_replay(&scenario, &options);
-        options.demand = DemandMode::Sparse;
-        let sparse = serve_replay(&scenario, &options);
-        assert_eq!(dense.log.records, sparse.log.records);
-        assert_eq!(dense.log.digest(), sparse.log.digest());
-        assert_eq!(dense.omniscient, sparse.omniscient);
-    }
-
-    #[test]
     fn fabric_serving_runs_sparse_end_to_end() {
         let spec = FabricSpec::jellyfish(48);
         let experiment =
@@ -1126,7 +1057,7 @@ mod tests {
             topology: ServeTopology::Fabric(spec),
             ..ServeSimOptions::new(experiment)
         };
-        let run = serve_fabric(&spec, &options);
+        let run = serve(&options);
         assert_eq!(run.log.len(), 4);
         assert!(run.log.realized_mlus().iter().all(|m| m.is_finite() && *m > 0.0));
         let regret = run.regret();

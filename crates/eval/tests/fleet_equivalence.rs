@@ -11,9 +11,7 @@
 
 use figret_eval::experiments::ExperimentOptions;
 use figret_eval::fleet::serve_fleet;
-use figret_eval::serving::{
-    serve_fabric, serve_replay, DemandMode, ServeEngine, ServeSimOptions, ServeTopology,
-};
+use figret_eval::serving::{serve, ServeEngine, ServeSimOptions, ServeTopology};
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
 use figret_topology::{FabricSpec, Topology};
 
@@ -31,7 +29,6 @@ fn geant_options() -> ServeSimOptions {
     ServeSimOptions {
         experiment: ExperimentOptions { window: 4, snapshots: 60, ..Default::default() },
         topology: ServeTopology::Table1(Topology::Geant),
-        demand: DemandMode::Dense,
         engine: ServeEngine::Lp,
         predictor: PredictorKind::LastValue,
         policy: gated_policy(),
@@ -46,14 +43,7 @@ fn geant_options() -> ServeSimOptions {
 #[test]
 fn one_shard_fleet_replays_unsharded_geant() {
     let options = geant_options();
-    let scenario = figret_eval::scenario::Scenario::build(
-        Topology::Geant,
-        &figret_eval::scenario::ScenarioOptions {
-            num_snapshots: options.experiment.snapshots,
-            ..Default::default()
-        },
-    );
-    let solo = serve_replay(&scenario, &options);
+    let solo = serve(&options);
     let fleet = serve_fleet(&options, 1);
     assert_eq!(fleet.logs.len(), 1);
     assert_eq!(fleet.ticks(), solo.log.len());
@@ -83,7 +73,7 @@ fn one_shard_fleet_replays_unsharded_pod_fabric() {
         max_ticks: Some(8),
         ..ServeSimOptions::new(ExperimentOptions::default())
     };
-    let solo = serve_fabric(&spec, &options);
+    let solo = serve(&options);
     let fleet = serve_fleet(&options, 1);
     assert_eq!(fleet.logs.len(), 1);
     assert_eq!(fleet.logs[0].records, solo.log.records, "one-shard fleet must replay the fabric");
@@ -166,4 +156,20 @@ fn serve_sim_fleet_digests_agree_across_thread_counts_and_with_unsharded() {
         digest_lines(&unsharded),
         "a one-shard fleet must reproduce the unsharded digests"
     );
+}
+
+/// Without `--fast` the fabric fan-out (16 destinations per source) exceeds
+/// a 16-ToR pod fabric's 15 possible destinations; the inputs builder clamps
+/// it, so the run serves every ToR pair.
+#[test]
+fn podfab16_serves_without_fast() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve_sim"))
+        .args(["--topology", "podfab16", "--engine", "lp", "--snapshots", "6"])
+        .args(["--window", "2", "--max-eval", "2"])
+        .output()
+        .expect("serve_sim must run");
+    assert!(out.status.success(), "serve_sim failed: {}", String::from_utf8_lossy(&out.stderr));
+    let report = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(report.contains("240 (100.00% of ToR pairs)"), "unexpected pair universe:\n{report}");
+    assert_eq!(digest_lines(&report).len(), 2, "the report must print both digests:\n{report}");
 }

@@ -181,10 +181,16 @@ fn geant_lp_with_metrics_armed() {
     }
 }
 
+/// The learned replay falls back to the LP at tick 8, and the recorded
+/// `Degraded` transition is folded into both digests.
 #[test]
 fn poddb_learned_replay() {
     assert_golden(
         &["--topology", "pod-db", "--fast", "--max-eval", "40"],
-        &["decision_log_digest,0xc1ded3cb28235154", "decision_digest,0x9df39617a45e5365"],
+        &[
+            "transition,8,Degraded",
+            "decision_log_digest,0xd195663a1702dc9e",
+            "decision_digest,0x62b37b919894faef",
+        ],
     );
 }

@@ -91,3 +91,43 @@ fn recovery_flags_are_validated() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--online-ticks"), "unexpected error: {err}");
 }
+
+/// Flag combinations the serving driver cannot serve must exit 2 with a
+/// message naming the flag, never run something else silently.
+#[test]
+fn unservable_flag_combinations_exit_2() {
+    let cases: [(&[&str], &str); 3] = [
+        // A fabric with the default learned engine (and online ticks).
+        (
+            &[
+                "--topology",
+                "tor32",
+                "--fast",
+                "--snapshots",
+                "6",
+                "--window",
+                "2",
+                "--max-eval",
+                "2",
+                "--online-ticks",
+                "3",
+                "--inference",
+                "plan",
+            ],
+            "--engine lp",
+        ),
+        // A fleet with the default learned engine.
+        (&["--shards", "2", "--fast", "--max-eval", "3"], "--engine lp"),
+        // The online generator on a fabric.
+        (&["--topology", "tor32", "--engine", "lp", "--online-ticks", "3"], "--online-ticks"),
+    ];
+    for (args, needle) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve_sim"))
+            .args(args)
+            .output()
+            .expect("serve_sim must run");
+        assert_eq!(out.status.code(), Some(2), "serve_sim {args:?} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "serve_sim {args:?}: unexpected error: {err}");
+    }
+}

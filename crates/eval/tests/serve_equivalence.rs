@@ -8,7 +8,7 @@
 use figret_eval::experiments::ExperimentOptions;
 use figret_eval::runner::{omniscient_series, run_scheme, EvalOptions, Scheme};
 use figret_eval::scenario::{Scenario, ScenarioOptions};
-use figret_eval::serving::{serve_replay, DemandMode, ServeEngine, ServeSimOptions, ServeTopology};
+use figret_eval::serving::{serve, ServeEngine, ServeSimOptions, ServeTopology};
 use figret_serve::{FallbackPolicy, PredictorKind, ReconfigPolicy, UpdateBudget};
 use figret_solvers::{Predictor, SolverEngine};
 use figret_topology::Topology;
@@ -23,7 +23,6 @@ fn serve_options() -> ServeSimOptions {
     ServeSimOptions {
         experiment: ExperimentOptions { window: WINDOW, snapshots: 80, ..Default::default() },
         topology: ServeTopology::Table1(Topology::Geant),
-        demand: DemandMode::Dense,
         engine: ServeEngine::Lp,
         predictor: PredictorKind::LastValue,
         policy: ReconfigPolicy::always_update(),
@@ -45,7 +44,7 @@ fn serving_loop_matches_batch_prediction_on_geant() {
         failure: None,
     };
     let batch = run_scheme(&scenario, &Scheme::Prediction(Predictor::LastSnapshot), &eval);
-    let serve = serve_replay(&scenario, &serve_options());
+    let serve = serve(&serve_options());
 
     assert_eq!(serve.indices, batch.indices, "both paths must evaluate the same snapshots");
     assert_eq!(serve.log.update_count(), serve.log.len(), "unlimited budget deploys every tick");
@@ -77,10 +76,6 @@ fn serving_loop_matches_batch_prediction_on_geant() {
 /// quantization tolerance.
 #[test]
 fn plan_inference_reproduces_graph_decisions_in_replay() {
-    let scenario = Scenario::build(
-        Topology::MetaDbPod,
-        &ScenarioOptions { num_snapshots: 60, ..Default::default() },
-    );
     let graph_options = ServeSimOptions {
         experiment: ExperimentOptions {
             fast: true,
@@ -89,7 +84,6 @@ fn plan_inference_reproduces_graph_decisions_in_replay() {
             ..Default::default()
         },
         topology: ServeTopology::Table1(Topology::MetaDbPod),
-        demand: DemandMode::Dense,
         engine: ServeEngine::Learned,
         predictor: PredictorKind::LastValue,
         // A policy with real decisions to flip (hysteresis holds, a budget
@@ -108,8 +102,8 @@ fn plan_inference_reproduces_graph_decisions_in_replay() {
     };
     let plan_options = ServeSimOptions { use_plan: true, ..graph_options.clone() };
 
-    let graph = serve_replay(&scenario, &graph_options);
-    let plan = serve_replay(&scenario, &plan_options);
+    let graph = serve(&graph_options);
+    let plan = serve(&plan_options);
 
     assert_eq!(graph.log.len(), plan.log.len());
     assert_eq!(
@@ -127,28 +121,6 @@ fn plan_inference_reproduces_graph_decisions_in_replay() {
     }
 }
 
-/// Sparse-columnar equivalence contract of the demand–path core (ISSUE 7):
-/// replaying GEANT through the sparse column entry points (SparseTrace +
-/// scatter) must reproduce the dense replay's decision log bit for bit —
-/// every action, MLU and churn value, hence equal digests.  CI additionally
-/// diffs the printed digests across `RAYON_NUM_THREADS=1` and `=4`
-/// processes and across `--demand dense`/`--demand sparse` runs.
-#[test]
-fn sparse_demand_replay_matches_dense_on_geant() {
-    let scenario = geant_scenario();
-    let dense_options = serve_options();
-    let sparse_options = ServeSimOptions { demand: DemandMode::Sparse, ..dense_options.clone() };
-    let dense = serve_replay(&scenario, &dense_options);
-    let sparse = serve_replay(&scenario, &sparse_options);
-    assert_eq!(dense.log.len(), sparse.log.len());
-    assert_eq!(dense.log.records, sparse.log.records, "per-tick records must be identical");
-    assert_eq!(dense.log.digest(), sparse.log.digest());
-    assert_eq!(dense.log.decision_digest(), sparse.log.decision_digest());
-    for (a, b) in dense.omniscient.iter().zip(&sparse.omniscient) {
-        assert_eq!(a.to_bits(), b.to_bits(), "the omniscient normalizer must agree bitwise");
-    }
-}
-
 #[test]
 fn serving_omniscient_normalizer_matches_batch_oracle() {
     let scenario = geant_scenario();
@@ -159,7 +131,7 @@ fn serving_omniscient_normalizer_matches_batch_oracle() {
         failure: None,
     };
     let batch_oracle = omniscient_series(&scenario, &eval);
-    let serve = serve_replay(&scenario, &serve_options());
+    let serve = serve(&serve_options());
     assert_eq!(serve.omniscient.len(), batch_oracle.len());
     for ((a, b), t) in serve.omniscient.iter().zip(&batch_oracle).zip(&serve.indices) {
         assert!((a - b).abs() <= 1e-9, "snapshot {t}: serving oracle {a} vs batch oracle {b}");

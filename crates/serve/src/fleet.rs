@@ -114,14 +114,12 @@ impl FleetController {
             .iter()
             .map(|shard| {
                 let (restricted, _) = paths.restrict_to(shard.active());
-                let mut c = ServeController::lp(
+                ServeController::lp(
                     &restricted,
                     window,
                     predictor.build(),
                     ReconfigPolicy { budget: None, ..policy.clone() },
-                );
-                c.bind_universe(shard.active());
-                c
+                )
             })
             .collect();
         FleetController::from_controllers(plan, controllers, policy)

@@ -30,10 +30,11 @@
 //!   controller, LP, recovery ladder and fleet phases, never folded into
 //!   the decision digests.
 //!
-//! Demand arrives through the [`figret_traffic::DemandStream`] trait
-//! (trace replay or the unbounded online generators), so serving scenarios
-//! are open-ended.  The replay harness and the `serve_sim` report binary
-//! live in `figret-eval`.
+//! Demand arrives as pair columns — one value per SD pair of the
+//! controller's path set, in slot order — whether it comes from a recorded
+//! trace (flattened once at load), a sparse fabric trace, or the unbounded
+//! online generator ([`figret_traffic::OnlineStream`]).  The serving driver
+//! and the `serve_sim` report binary live in `figret-eval`.
 //!
 //! # Example
 //!
@@ -52,9 +53,11 @@
 //!     Box::new(LastValue::new()),
 //!     ReconfigPolicy::default(),
 //! );
-//! controller.observe(trace.matrix(0));
-//! controller.observe(trace.matrix(1));
-//! let outcome = controller.step(trace.matrix(2));
+//! // Demands arrive as pair columns (one value per SD pair, slot order).
+//! let columns: Vec<Vec<f64>> = trace.matrices().iter().map(|m| m.flatten_pairs()).collect();
+//! controller.observe_pairs(&columns[0]);
+//! controller.observe_pairs(&columns[1]);
+//! let outcome = controller.step_pairs(&columns[2]);
 //! assert!(outcome.record.realized_mlu.is_finite());
 //! ```
 

@@ -211,7 +211,6 @@ fn fleet_shards_recover_independently_under_the_joint_budget() {
                     retrain_epochs: 150,
                     ..Default::default()
                 });
-                c.bind_universe(shard.active());
                 c
             })
             .collect();

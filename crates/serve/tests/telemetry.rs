@@ -16,7 +16,7 @@ use figret_telemetry::Registry;
 use figret_topology::{Graph, Topology, TopologySpec};
 use figret_traffic::datacenter::{pod_trace, PodTrafficConfig};
 use figret_traffic::{
-    ActivePairs, DemandStream, OnlineStream, OnlineStreamConfig, ShardPlan, TrafficTrace,
+    ActivePairs, OnlineStream, OnlineStreamConfig, ShardPlan, SparseDemandStream, TrafficTrace,
 };
 
 const WINDOW: usize = 2;
@@ -47,13 +47,13 @@ fn run_lp(seed: u64, ticks: usize, armed: bool) -> (ServeLog, Option<Registry>) 
     let mut stream =
         OnlineStream::from_graph(&g, 0.25, OnlineStreamConfig { seed, ..Default::default() });
     let mut log = ServeLog::new();
+    // The stream's all-pairs columns are the controller's pair columns.
+    let mut next = || stream.next_column().expect("online streams never end");
     for _ in 0..WINDOW {
-        controller.observe(&stream.next_demand().expect("online streams never end"));
+        controller.observe_pairs(next().values());
     }
     for _ in 0..ticks {
-        let demand = stream.next_demand().expect("online streams never end");
-        let outcome = controller.step(&demand);
-        log.push(outcome.record, outcome.decision_seconds);
+        log.record_outcome(&controller.step_pairs(next().values()));
     }
     (log, controller.telemetry_snapshot())
 }

@@ -64,8 +64,8 @@ pub use stats::{
 };
 pub use stream::{
     collect_sparse_stream, collect_stream, DemandStream, DriftConfig, FailureStormConfig,
-    FlashCrowdConfig, OnlineStream, OnlineStreamConfig, ReplayStream, SparseDemandStream,
-    SparseReplayStream, StepShiftConfig, StreamAnnotation,
+    FlashCrowdConfig, OnlineStream, OnlineStreamConfig, SparseDemandStream, StepShiftConfig,
+    StreamAnnotation,
 };
 
 #[cfg(test)]

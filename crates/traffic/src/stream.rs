@@ -1,17 +1,14 @@
 //! Streaming demand sources: demands as they arrive, not fixed-length arrays.
 //!
 //! The batch evaluation pipeline materializes a whole [`TrafficTrace`] up
-//! front; the online serving subsystem (DESIGN.md §6) instead *pulls* one
-//! demand matrix per tick from a [`DemandStream`].  Two families of sources:
-//!
-//! * [`ReplayStream`] — replays an existing trace (optionally looping), so
-//!   every batch scenario is also a serving scenario;
-//! * [`OnlineStream`] — an unbounded seeded generator layering diurnal
-//!   modulation, slow random-walk drift, flash-crowd episodes and
-//!   failure-storm episodes (traffic draining away from an ailing node) on
-//!   top of a base matrix.  Scenarios are no longer bounded by a
-//!   pre-generated array length: the stream produces demands for as long as
-//!   the controller keeps asking.
+//! front; the online serving subsystem (DESIGN.md §6) can instead *pull*
+//! one demand per tick from an [`OnlineStream`] — an unbounded seeded
+//! generator layering diurnal modulation, slow random-walk drift,
+//! flash-crowd episodes and failure-storm episodes (traffic draining away
+//! from an ailing node) on top of a base matrix.  Scenarios are no longer
+//! bounded by a pre-generated array length: the stream produces demands for
+//! as long as the controller keeps asking.  (Recorded traces need no
+//! stream: the serving driver reads their snapshots as pair columns.)
 //!
 //! All generators draw from seeded ChaCha8 streams and consume randomness in
 //! a fixed order, so a (seed, config) pair fully determines the stream —
@@ -32,8 +29,8 @@ use crate::sparse::{ActivePairs, SparseDemand, SparseTrace};
 
 /// A source of demand matrices, one per tick.
 ///
-/// Finite sources (trace replay) return `None` when exhausted; online
-/// generators never do.
+/// Finite sources return `None` when exhausted; online generators never
+/// do.
 pub trait DemandStream {
     /// Number of nodes of every matrix the stream yields.
     fn num_nodes(&self) -> usize;
@@ -51,62 +48,6 @@ pub trait SparseDemandStream {
 
     /// The next demand column, or `None` if the stream is exhausted.
     fn next_column(&mut self) -> Option<SparseDemand>;
-}
-
-/// Replays the snapshots of an existing [`TrafficTrace`] in order.
-#[derive(Debug, Clone)]
-pub struct ReplayStream {
-    trace: TrafficTrace,
-    cursor: usize,
-    looping: bool,
-}
-
-impl ReplayStream {
-    /// Replays the trace once, then reports exhaustion.
-    pub fn once(trace: TrafficTrace) -> ReplayStream {
-        ReplayStream { trace, cursor: 0, looping: false }
-    }
-
-    /// Replays the trace forever, wrapping around at the end (an unbounded
-    /// stationary scenario built from recorded data).
-    pub fn looping(trace: TrafficTrace) -> ReplayStream {
-        assert!(!trace.is_empty(), "cannot loop over an empty trace");
-        ReplayStream { trace, cursor: 0, looping: true }
-    }
-
-    /// Starts the replay at snapshot `start` instead of 0 (e.g. at the test
-    /// split of a scenario, after warming the controller on the prefix).
-    pub fn starting_at(mut self, start: usize) -> ReplayStream {
-        self.cursor = start;
-        self
-    }
-
-    /// Snapshots left before exhaustion (`None` for a looping stream).
-    pub fn remaining(&self) -> Option<usize> {
-        if self.looping {
-            None
-        } else {
-            Some(self.trace.len().saturating_sub(self.cursor))
-        }
-    }
-}
-
-impl DemandStream for ReplayStream {
-    fn num_nodes(&self) -> usize {
-        self.trace.num_nodes()
-    }
-
-    fn next_demand(&mut self) -> Option<DemandMatrix> {
-        if self.cursor >= self.trace.len() {
-            if !self.looping {
-                return None;
-            }
-            self.cursor = 0;
-        }
-        let m = self.trace.matrix(self.cursor).clone();
-        self.cursor += 1;
-        Some(m)
-    }
 }
 
 /// Slow per-pair drift: every pair's mean performs a clamped random walk.
@@ -437,71 +378,6 @@ impl DemandStream for OnlineStream {
     }
 }
 
-/// Replays the columns of an existing [`SparseTrace`] in order — the sparse
-/// counterpart of [`ReplayStream`].
-#[derive(Debug, Clone)]
-pub struct SparseReplayStream {
-    trace: SparseTrace,
-    cursor: usize,
-    looping: bool,
-}
-
-impl SparseReplayStream {
-    /// Replays the trace once, then reports exhaustion.
-    pub fn once(trace: SparseTrace) -> SparseReplayStream {
-        SparseReplayStream { trace, cursor: 0, looping: false }
-    }
-
-    /// Replays the trace forever, wrapping around at the end.
-    pub fn looping(trace: SparseTrace) -> SparseReplayStream {
-        assert!(!trace.is_empty(), "cannot loop over an empty trace");
-        SparseReplayStream { trace, cursor: 0, looping: true }
-    }
-
-    /// Starts the replay at snapshot `start` instead of 0.
-    pub fn starting_at(mut self, start: usize) -> SparseReplayStream {
-        self.cursor = start;
-        self
-    }
-
-    /// Snapshots left before exhaustion (`None` for a looping stream).
-    pub fn remaining(&self) -> Option<usize> {
-        if self.looping {
-            None
-        } else {
-            Some(self.trace.len().saturating_sub(self.cursor))
-        }
-    }
-}
-
-impl SparseDemandStream for SparseReplayStream {
-    fn active(&self) -> &Arc<ActivePairs> {
-        self.trace.active()
-    }
-
-    fn next_column(&mut self) -> Option<SparseDemand> {
-        if self.cursor >= self.trace.len() {
-            if !self.looping {
-                return None;
-            }
-            self.cursor = 0;
-        }
-        let c = self.trace.snapshot(self.cursor).clone();
-        self.cursor += 1;
-        Some(c)
-    }
-}
-
-impl DemandStream for SparseReplayStream {
-    fn num_nodes(&self) -> usize {
-        self.trace.num_nodes()
-    }
-
-    fn next_demand(&mut self) -> Option<DemandMatrix> {
-        self.next_column().map(|c| c.to_matrix())
-    }
-}
-
 /// Materializes the next `ticks` demands of any stream into a trace (mainly
 /// for tests and for feeding batch tooling from a streaming source).
 pub fn collect_stream(
@@ -544,37 +420,6 @@ mod tests {
 
     fn geant() -> Graph {
         TopologySpec::full_scale(Topology::Geant).build()
-    }
-
-    #[test]
-    fn replay_yields_the_trace_in_order_then_ends() {
-        let g = geant();
-        let trace = crate::wan::wan_trace(
-            &g,
-            &crate::wan::WanTrafficConfig { num_snapshots: 5, ..Default::default() },
-        );
-        let mut s = ReplayStream::once(trace.clone());
-        assert_eq!(s.num_nodes(), trace.num_nodes());
-        for t in 0..5 {
-            assert_eq!(s.remaining(), Some(5 - t));
-            assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(t)));
-        }
-        assert_eq!(s.next_demand(), None);
-        assert_eq!(s.remaining(), Some(0));
-    }
-
-    #[test]
-    fn looping_replay_wraps_and_starting_at_skips() {
-        let g = geant();
-        let trace = crate::wan::wan_trace(
-            &g,
-            &crate::wan::WanTrafficConfig { num_snapshots: 3, ..Default::default() },
-        );
-        let mut s = ReplayStream::looping(trace.clone()).starting_at(2);
-        assert_eq!(s.remaining(), None);
-        assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(2)));
-        assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(0)));
-        assert_eq!(s.next_demand().as_ref(), Some(trace.matrix(1)));
     }
 
     #[test]
@@ -694,30 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_replay_matches_dense_replay() {
-        let g = geant();
-        let trace = crate::wan::wan_trace(
-            &g,
-            &crate::wan::WanTrafficConfig { num_snapshots: 6, ..Default::default() },
-        );
-        let sparse = SparseTrace::from_trace(&trace);
-        let mut a = ReplayStream::looping(trace).starting_at(4);
-        let mut b = SparseReplayStream::looping(sparse).starting_at(4);
-        assert_eq!(b.remaining(), None);
-        for _ in 0..10 {
-            assert_eq!(a.next_demand(), b.next_demand());
-        }
-        let mut once = SparseReplayStream::once(collect_sparse_stream(
-            &mut OnlineStream::from_graph(&g, 0.25, OnlineStreamConfig::default()),
-            3,
-            60.0,
-        ));
-        assert_eq!(once.remaining(), Some(3));
-        assert!(once.next_column().is_some());
-        assert_eq!(once.remaining(), Some(2));
-    }
-
-    #[test]
     fn step_shift_changes_the_shape_without_consuming_randomness() {
         let g = geant();
         let base = OnlineStreamConfig { seed: 44, ..Default::default() };
@@ -782,9 +603,17 @@ mod tests {
         let trace = collect_stream(&mut s, 12, 60.0);
         assert_eq!(trace.len(), 12);
         assert_eq!(trace.num_nodes(), g.num_nodes());
-        // A finite replay stops early.
-        let mut r = ReplayStream::once(trace.clone());
-        let t2 = collect_stream(&mut r, 50, 60.0);
+        // A finite stream stops early.
+        struct Finite(Vec<DemandMatrix>);
+        impl DemandStream for Finite {
+            fn num_nodes(&self) -> usize {
+                self.0[0].num_nodes()
+            }
+            fn next_demand(&mut self) -> Option<DemandMatrix> {
+                self.0.pop()
+            }
+        }
+        let t2 = collect_stream(&mut Finite(trace.matrices().to_vec()), 50, 60.0);
         assert_eq!(t2.len(), 12);
     }
 }
