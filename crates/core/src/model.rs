@@ -14,13 +14,13 @@
 
 use figret_nn::{
     Adam, AdamConfig, Graph, InferencePlan, Mlp, MlpConfig, Optimizer, OutputActivation, Tensor,
+    WorkerTapes,
 };
 use figret_te::{DiffTe, MluAggregation, PathSet, TeConfig};
-use figret_traffic::{DemandMatrix, FlatWindowDataset, WindowDataset, WindowSample};
+use figret_traffic::{DemandMatrix, FlatWindowDataset, WindowDataset};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::config::FigretConfig;
 
@@ -132,11 +132,9 @@ impl FigretModel {
         );
         let mut features = Vec::with_capacity(self.config.history_window * self.num_pairs);
         for m in history {
-            features.extend(m.flatten_pairs());
+            push_pairs(m, &mut features);
         }
-        for f in &mut features {
-            *f /= self.feature_scale;
-        }
+        self.scale_features(&mut features);
         features
     }
 
@@ -154,10 +152,14 @@ impl FigretModel {
             assert_eq!(row.len(), self.num_pairs, "one demand value per pair is required");
             features.extend_from_slice(row);
         }
-        for f in &mut features {
+        self.scale_features(&mut features);
+        features
+    }
+
+    fn scale_features(&self, features: &mut [f64]) {
+        for f in features {
             *f /= self.feature_scale;
         }
-        features
     }
 
     /// Trains the model on a window dataset (as produced by
@@ -166,99 +168,63 @@ impl FigretModel {
     ///
     /// Each mini-batch of [`FigretConfig::batch_size`] samples is split into
     /// fixed-size microbatches whose gradients are computed in parallel
-    /// (rayon) on cloned parameter tapes, summed in stable chunk order,
+    /// (rayon) on reusable worker tapes, summed in stable chunk order,
     /// averaged, and applied with one Adam step.  `batch_size = 1` recovers
     /// the original per-sample update rule exactly.
     pub fn train(&mut self, dataset: &WindowDataset) -> TrainingReport {
-        assert!(!dataset.is_empty(), "the training dataset is empty");
         assert_eq!(
             dataset.window, self.config.history_window,
             "dataset window must match the configured history window"
         );
-        let start = std::time::Instant::now();
-        // Feature scale: the largest demand seen in training, so inputs are O(1).
-        let max_demand = dataset
-            .samples
-            .iter()
-            .flat_map(|s| s.history.iter().map(|m| m.max_entry()))
-            .fold(0.0f64, f64::max);
-        self.feature_scale = if max_demand > 0.0 { max_demand } else { 1.0 };
-
-        let mut adam = Adam::new(
-            &self.graph,
-            self.mlp.parameters(),
-            AdamConfig { learning_rate: self.config.learning_rate, ..Default::default() },
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x7a11_5eed);
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut report = TrainingReport { samples_per_epoch: dataset.len(), ..Default::default() };
-        let batch_size = self.config.batch_size.max(1);
-
-        for _epoch in 0..self.config.epochs {
-            order.shuffle(&mut rng);
-            let mut sum_loss = 0.0;
-            let mut sum_mlu = 0.0;
-            let mut sum_penalty = 0.0;
-            for batch in order.chunks(batch_size) {
-                // Keep only the sealed parameter prefix so per-worker clones
-                // stay minimal.
-                self.graph.reset();
-                let samples: Vec<&WindowSample> =
-                    batch.iter().map(|&idx| &dataset.samples[idx]).collect();
-                // Data-parallel gradient computation over fixed-size
-                // microbatches; `collect` preserves chunk order.
-                let partials: Vec<MicrobatchGradients> = samples
-                    .par_chunks(MICROBATCH)
-                    .map(|chunk| self.microbatch_gradients(chunk))
-                    .collect();
-                let (loss, mlu, penalty) = self.reduce_and_step(&mut adam, &partials, batch.len());
-                sum_loss += loss;
-                sum_mlu += mlu;
-                sum_penalty += penalty;
-            }
-            let n = dataset.len() as f64;
-            report.epochs.push(EpochStats {
-                mean_loss: sum_loss / n,
-                mean_mlu: sum_mlu / n,
-                mean_penalty: sum_penalty / n,
-            });
-        }
-        report.wall_seconds = start.elapsed().as_secs_f64();
-        report
+        self.train_on(dataset)
     }
 
     /// Trains the model on a flat columnar dataset (observed demand columns,
     /// e.g. drained from a serving controller's history window) with the
-    /// same shuffled, microbatched, deterministically reduced mini-batch SGD
-    /// as [`FigretModel::train`].  On a dense universe the two trainers are
-    /// bit-identical for equivalent data: same shuffle order, same chunk
-    /// boundaries, same feature and gradient arithmetic.  This is the
-    /// online-retraining path of the serving recovery subsystem — and it
-    /// works on restricted shard universes, where no dense `N×N` matrices
-    /// exist to build a [`WindowDataset`] from.
+    /// same epoch loop as [`FigretModel::train`].  On a dense universe the
+    /// two trainers are bit-identical for equivalent data: same shuffle
+    /// order, same chunk boundaries, same feature and gradient arithmetic.
+    /// This is the online-retraining path of the serving recovery subsystem
+    /// — and it works on restricted shard universes, where no dense `N×N`
+    /// matrices exist to build a [`WindowDataset`] from.
     pub fn train_flat(&mut self, dataset: &FlatWindowDataset) -> TrainingReport {
-        assert!(!dataset.is_empty(), "the training dataset is empty");
         assert_eq!(
             dataset.window(),
             self.config.history_window,
             "dataset window must match the configured history window"
         );
         assert_eq!(dataset.num_pairs(), self.num_pairs, "one demand value per pair is required");
+        self.train_on(dataset)
+    }
+
+    /// The epoch loop of every trainer.
+    ///
+    /// One [`WorkerTapes`] pool lives for the whole run, one tape per
+    /// microbatch slot of a batch.  A step runs the batch's microbatches on
+    /// those tapes in parallel, straight off the model's parameter values,
+    /// sums their gradients in chunk order into the model's parameter
+    /// gradients, scales by `1 / batch` and takes one Adam step.  Chunk
+    /// boundaries depend only on [`MICROBATCH`], so the result is
+    /// bit-identical for any thread count.
+    fn train_on(&mut self, samples: &impl Samples) -> TrainingReport {
+        let n = samples.len();
+        assert!(n > 0, "the training dataset is empty");
         let start = std::time::Instant::now();
-        // Feature scale: the largest demand seen in any history window, the
-        // exact statistic the dense trainer computes.
-        let max_demand = dataset.max_history_entry();
+        // Feature scale: the largest demand seen in training, so inputs are O(1).
+        let max_demand = samples.max_history_entry();
         self.feature_scale = if max_demand > 0.0 { max_demand } else { 1.0 };
 
+        let params = self.mlp.parameters();
         let mut adam = Adam::new(
             &self.graph,
-            self.mlp.parameters(),
+            params.clone(),
             AdamConfig { learning_rate: self.config.learning_rate, ..Default::default() },
         );
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x7a11_5eed);
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut report = TrainingReport { samples_per_epoch: dataset.len(), ..Default::default() };
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut report = TrainingReport { samples_per_epoch: n, ..Default::default() };
         let batch_size = self.config.batch_size.max(1);
+        let mut workers = WorkerTapes::new(&self.graph, batch_size.min(n).div_ceil(MICROBATCH));
 
         for _epoch in 0..self.config.epochs {
             order.shuffle(&mut rng);
@@ -266,17 +232,22 @@ impl FigretModel {
             let mut sum_mlu = 0.0;
             let mut sum_penalty = 0.0;
             for batch in order.chunks(batch_size) {
-                self.graph.reset();
-                let partials: Vec<MicrobatchGradients> = batch
-                    .par_chunks(MICROBATCH)
-                    .map(|chunk| self.microbatch_gradients_flat(dataset, chunk))
-                    .collect();
-                let (loss, mlu, penalty) = self.reduce_and_step(&mut adam, &partials, batch.len());
+                let chunks: Vec<&[usize]> = batch.chunks(MICROBATCH).collect();
+                let partials = workers
+                    .run(&self.graph, chunks, |tape, chunk| self.microbatch(tape, samples, chunk));
+                workers.reduce_into(&mut self.graph, &params, 1.0 / batch.len() as f64);
+                adam.step(&mut self.graph);
+                let (mut loss, mut mlu, mut penalty) = (0.0, 0.0, 0.0);
+                for partial in &partials {
+                    loss += partial.loss;
+                    mlu += partial.mlu;
+                    penalty += partial.penalty;
+                }
                 sum_loss += loss;
                 sum_mlu += mlu;
                 sum_penalty += penalty;
             }
-            let n = dataset.len() as f64;
+            let n = n as f64;
             report.epochs.push(EpochStats {
                 mean_loss: sum_loss / n,
                 mean_mlu: sum_mlu / n,
@@ -287,100 +258,35 @@ impl FigretModel {
         report
     }
 
-    /// Stable-order batch reduction shared by both trainers: sums the
-    /// per-microbatch gradient sums in chunk order, averages over the batch,
-    /// and applies one Adam step.  Returns the summed (loss, MLU, penalty)
-    /// terms of the batch.  `graph.reset()` must have run before the
-    /// microbatch pass, so the merged gradients are the only writes.
-    fn reduce_and_step(
-        &mut self,
-        adam: &mut Adam,
-        partials: &[MicrobatchGradients],
-        batch_len: usize,
-    ) -> (f64, f64, f64) {
-        let params = self.mlp.parameters();
-        let scale = 1.0 / batch_len as f64;
-        let mut accumulated: Vec<Tensor> = params
-            .iter()
-            .map(|&p| Tensor::zeros(self.graph.value(p).rows(), self.graph.value(p).cols()))
-            .collect();
-        let (mut loss, mut mlu, mut penalty) = (0.0, 0.0, 0.0);
-        for partial in partials {
-            for (acc, g) in accumulated.iter_mut().zip(&partial.grads) {
-                acc.add_assign(g);
-            }
-            loss += partial.loss_sum;
-            mlu += partial.mlu_sum;
-            penalty += partial.penalty_sum;
-        }
-        for (p, mut acc) in params.iter().zip(accumulated) {
-            for v in acc.data_mut() {
-                *v *= scale;
-            }
-            self.graph.add_grad(*p, &acc);
-        }
-        adam.step(&mut self.graph);
-        (loss, mlu, penalty)
-    }
-
-    /// Runs one batched forward/backward pass over a microbatch on a clone of
-    /// the parameter tape and returns the *sums* (not means) of the parameter
-    /// gradients and loss terms over the microbatch's samples.
-    fn microbatch_gradients(&self, chunk: &[&WindowSample]) -> MicrobatchGradients {
-        let feature_rows: Vec<Vec<f64>> =
-            chunk.iter().map(|s| self.features_from_history(&s.history)).collect();
-        let mut demand_rows = Vec::with_capacity(chunk.len() * self.num_pairs);
-        for sample in chunk {
-            demand_rows.extend(sample.target.flatten_pairs());
-        }
-        self.microbatch_gradients_rows(&feature_rows, &demand_rows)
-    }
-
-    /// Columnar counterpart of [`FigretModel::microbatch_gradients`]: sample
-    /// indices into a [`FlatWindowDataset`] instead of owned window samples.
-    /// The feature and target arithmetic is identical, so the flat trainer
-    /// bit-matches the dense trainer on equivalent data.
-    fn microbatch_gradients_flat(
-        &self,
-        dataset: &FlatWindowDataset,
-        chunk: &[usize],
-    ) -> MicrobatchGradients {
-        let feature_rows: Vec<Vec<f64>> =
-            chunk.iter().map(|&i| self.features_from_columns(dataset.history(i))).collect();
+    /// Runs one batched forward/backward pass over a microbatch on a worker
+    /// tape, leaving the *sums* (not means) of the parameter gradients over
+    /// its samples on the tape, and returns the sums of the loss terms.
+    fn microbatch(&self, tape: &mut Graph, samples: &impl Samples, chunk: &[usize]) -> LossSums {
+        let width = self.config.history_window * self.num_pairs;
+        let mut features = Vec::with_capacity(chunk.len() * width);
         let mut demand_rows = Vec::with_capacity(chunk.len() * self.num_pairs);
         for &i in chunk {
-            demand_rows.extend_from_slice(dataset.target(i));
+            samples.push_history(i, &mut features);
+            samples.push_target(i, &mut demand_rows);
         }
-        self.microbatch_gradients_rows(&feature_rows, &demand_rows)
-    }
-
-    /// The shared forward/backward core of both trainers, over prepared
-    /// (already feature-scaled) input rows and raw target demand rows.
-    fn microbatch_gradients_rows(
-        &self,
-        feature_rows: &[Vec<f64>],
-        demand_rows: &[f64],
-    ) -> MicrobatchGradients {
-        let mut graph = self.graph.clone();
-        let feature_refs: Vec<&[f64]> = feature_rows.iter().map(|r| r.as_slice()).collect();
-        let input = graph.input(Tensor::stack_rows(&feature_refs));
-        let raw = self.mlp.forward(&mut graph, input);
-        let ratios = self.diff.normalize(&mut graph, raw);
-        let mlu_col = self.diff.mlu_batch(&mut graph, ratios, demand_rows, MluAggregation::Max);
-        let mlu_sum: f64 = graph.value(mlu_col).data().iter().sum();
-        let (loss_col, penalty_sum) = if self.config.robustness_weight > 0.0 {
-            let penalty = self.diff.sensitivity_penalty(&mut graph, ratios, &self.variance_weights);
-            let weighted = graph.scale(penalty, self.config.robustness_weight);
-            let penalty_sum: f64 = graph.value(weighted).data().iter().sum();
-            (graph.add(mlu_col, weighted), penalty_sum)
+        self.scale_features(&mut features);
+        let input = tape.constant(Tensor::from_vec(chunk.len(), width, features));
+        let raw = self.mlp.forward(tape, input);
+        let ratios = self.diff.normalize(tape, raw);
+        let mlu_col = self.diff.mlu_batch(tape, ratios, &demand_rows, MluAggregation::Max);
+        let mlu: f64 = tape.value(mlu_col).data().iter().sum();
+        let (loss_col, penalty) = if self.config.robustness_weight > 0.0 {
+            let per_sample = self.diff.sensitivity_penalty(tape, ratios, &self.variance_weights);
+            let weighted = tape.scale(per_sample, self.config.robustness_weight);
+            let penalty: f64 = tape.value(weighted).data().iter().sum();
+            (tape.add(mlu_col, weighted), penalty)
         } else {
             (mlu_col, 0.0)
         };
-        let loss = graph.sum(loss_col);
-        let loss_sum = graph.value(loss).as_scalar();
-        graph.backward(loss);
-        let grads = self.mlp.parameters().iter().map(|&p| graph.grad(p).clone()).collect();
-        MicrobatchGradients { grads, loss_sum, mlu_sum, penalty_sum }
+        let loss = tape.sum(loss_col);
+        let loss_sum = tape.value(loss).as_scalar();
+        tape.backward(loss);
+        LossSums { loss: loss_sum, mlu, penalty }
     }
 
     /// Compiles the trained weights into an allocation-free f32
@@ -404,11 +310,7 @@ impl FigretModel {
     /// window of `H` demand matrices (most recent last).
     pub fn predict(&mut self, paths: &PathSet, history: &[DemandMatrix]) -> TeConfig {
         let features = self.features_from_history(history);
-        self.graph.reset();
-        let input = self.graph.input(Tensor::row(&features));
-        let raw = self.mlp.forward(&mut self.graph, input);
-        let ratios = self.diff.normalize(&mut self.graph, raw);
-        TeConfig::from_raw(paths, self.graph.value(ratios).data())
+        self.forward_one(paths, features)
     }
 
     /// Computes the TE configuration from a history window of `H` flat
@@ -423,21 +325,14 @@ impl FigretModel {
     /// matrices, which is what lets learned serving scale to restricted
     /// fabric universes.
     pub fn predict_flat(&mut self, paths: &PathSet, history: &[Vec<f64>]) -> TeConfig {
-        assert_eq!(
-            history.len(),
-            self.config.history_window,
-            "history must contain exactly H demand columns"
-        );
-        let mut features = Vec::with_capacity(self.config.history_window * self.num_pairs);
-        for row in history {
-            assert_eq!(row.len(), self.num_pairs, "one demand value per pair is required");
-            features.extend_from_slice(row);
-        }
-        for f in &mut features {
-            *f /= self.feature_scale;
-        }
+        let features = self.features_from_columns(history);
+        self.forward_one(paths, features)
+    }
+
+    /// The forward pass of one scaled feature row (no gradient buffers).
+    fn forward_one(&mut self, paths: &PathSet, features: Vec<f64>) -> TeConfig {
         self.graph.reset();
-        let input = self.graph.input(Tensor::row(&features));
+        let input = self.graph.constant(Tensor::from_vec(1, features.len(), features));
         let raw = self.mlp.forward(&mut self.graph, input);
         let ratios = self.diff.normalize(&mut self.graph, raw);
         TeConfig::from_raw(paths, self.graph.value(ratios).data())
@@ -457,7 +352,7 @@ impl FigretModel {
             histories.iter().map(|h| self.features_from_history(h)).collect();
         let feature_refs: Vec<&[f64]> = feature_rows.iter().map(|r| r.as_slice()).collect();
         self.graph.reset();
-        let input = self.graph.input(Tensor::stack_rows(&feature_refs));
+        let input = self.graph.constant(Tensor::stack_rows(&feature_refs));
         let raw = self.mlp.forward(&mut self.graph, input);
         let ratios = self.diff.normalize(&mut self.graph, raw);
         let out = self.graph.value(ratios);
@@ -465,13 +360,96 @@ impl FigretModel {
     }
 }
 
-/// Per-microbatch result of the data-parallel gradient pass: gradient sums
-/// (one tensor per MLP parameter, in parameter order) plus loss-term sums.
-struct MicrobatchGradients {
-    grads: Vec<Tensor>,
-    loss_sum: f64,
-    mlu_sum: f64,
-    penalty_sum: f64,
+/// Per-microbatch sums of the loss terms (the gradient sums stay on the
+/// worker tape).
+struct LossSums {
+    loss: f64,
+    mlu: f64,
+    penalty: f64,
+}
+
+/// Training samples as the epoch loop reads them: a history window and a
+/// target demand row per sample index.
+trait Samples: Sync {
+    fn len(&self) -> usize;
+    /// Largest demand in any history window: the feature scale.
+    fn max_history_entry(&self) -> f64;
+    /// Appends sample `i`'s history window, oldest first, one value per pair.
+    fn push_history(&self, i: usize, out: &mut Vec<f64>);
+    /// Appends sample `i`'s target demand row.
+    fn push_target(&self, i: usize, out: &mut Vec<f64>);
+}
+
+/// Appends a matrix's flattened pair demands.
+fn push_pairs(m: &DemandMatrix, out: &mut Vec<f64>) {
+    let start = out.len();
+    out.resize(start + m.num_pairs(), 0.0);
+    m.flatten_pairs_into(&mut out[start..]);
+}
+
+impl Samples for WindowDataset {
+    fn len(&self) -> usize {
+        self.samples.len()
+    }
+
+    fn max_history_entry(&self) -> f64 {
+        self.samples
+            .iter()
+            .flat_map(|s| s.history.iter().map(|m| m.max_entry()))
+            .fold(0.0f64, f64::max)
+    }
+
+    fn push_history(&self, i: usize, out: &mut Vec<f64>) {
+        for m in &self.samples[i].history {
+            push_pairs(m, out);
+        }
+    }
+
+    fn push_target(&self, i: usize, out: &mut Vec<f64>) {
+        push_pairs(&self.samples[i].target, out);
+    }
+}
+
+impl Samples for FlatWindowDataset {
+    fn len(&self) -> usize {
+        FlatWindowDataset::len(self)
+    }
+
+    fn max_history_entry(&self) -> f64 {
+        FlatWindowDataset::max_history_entry(self)
+    }
+
+    fn push_history(&self, i: usize, out: &mut Vec<f64>) {
+        for column in self.history(i) {
+            out.extend_from_slice(column);
+        }
+    }
+
+    fn push_target(&self, i: usize, out: &mut Vec<f64>) {
+        out.extend_from_slice(self.target(i));
+    }
+}
+
+/// The TEAL-like baseline's view of a dataset: every sample's one-matrix
+/// "history" is its own target snapshot.
+struct SameSnapshot<'a>(&'a WindowDataset);
+
+impl Samples for SameSnapshot<'_> {
+    fn len(&self) -> usize {
+        self.0.samples.len()
+    }
+
+    fn max_history_entry(&self) -> f64 {
+        self.0.samples.iter().map(|s| s.target.max_entry()).fold(0.0f64, f64::max)
+    }
+
+    fn push_history(&self, i: usize, out: &mut Vec<f64>) {
+        push_pairs(&self.0.samples[i].target, out);
+    }
+
+    fn push_target(&self, i: usize, out: &mut Vec<f64>) {
+        push_pairs(&self.0.samples[i].target, out);
+    }
 }
 
 /// A TEAL-like baseline: the same architecture, but it receives only the most
@@ -500,13 +478,7 @@ impl TealLikeModel {
 
     /// Trains the model to minimize the MLU of the snapshot it receives.
     pub fn train(&mut self, dataset: &WindowDataset) -> TrainingReport {
-        // Re-target every sample: the "history" is the target snapshot itself.
-        let mut same_snapshot = dataset.clone();
-        same_snapshot.window = 1;
-        for s in &mut same_snapshot.samples {
-            s.history = vec![s.target.clone()];
-        }
-        self.inner.train(&same_snapshot)
+        self.inner.train_on(&SameSnapshot(dataset))
     }
 
     /// Computes a configuration for the *given* demand matrix (apply it to the

@@ -27,15 +27,15 @@
 //! same loss-construction code serves both the per-sample solver path and the
 //! mini-batch training path.
 //!
-//! Constants attached to operations are shared through [`Arc`], which makes a
-//! cloned [`Graph`] cheap to send to a worker thread: mini-batch training
-//! clones the sealed parameter tape once per microbatch and runs
-//! forward/backward passes in parallel.
+//! Constants attached to operations and the parameter values are shared
+//! through [`Arc`]: mini-batch training runs each microbatch on a reusable
+//! worker tape ([`crate::WorkerTapes`]) that reads the master tape's
+//! parameters in place and keeps only its own gradients.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_acc, matmul_tn_acc, Tensor};
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,44 +140,103 @@ enum Op {
     RowLogSumExp(usize, f64),
 }
 
+impl Op {
+    /// The nodes the op reads (none for a leaf).
+    fn operands(&self) -> [Option<usize>; 2] {
+        match *self {
+            Op::Leaf => [None, None],
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddBias(a, b) => [Some(a), Some(b)],
+            Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::MulConst(a, _)
+            | Op::SparseMatVec(a, _)
+            | Op::SegmentNormalize(a, _)
+            | Op::SegmentMax(a, _)
+            | Op::Max(a)
+            | Op::RowMax(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::DotConst(a, _)
+            | Op::LogSumExp(a, _)
+            | Op::RowLogSumExp(a, _) => [Some(a), None],
+        }
+    }
+}
+
+/// A persistent leaf: a trainable parameter's value.
+#[derive(Debug, Clone)]
+struct Param {
+    value: Tensor,
+    /// `valueᵀ`, built by the first `MatMul` backward that needs it (for
+    /// `dX = G · Wᵀ`) and dropped whenever the value changes, so every
+    /// worker tape of an optimizer step shares one transpose.
+    transposed: OnceLock<Tensor>,
+}
+
+/// A transient node: built after [`Graph::seal`], dropped by [`Graph::reset`].
 #[derive(Debug, Clone)]
 struct Node {
     value: Tensor,
-    grad: Tensor,
     op: Op,
+    /// Whether the node depends on a parameter or an [`Graph::input`] leaf,
+    /// i.e. whether [`Graph::backward`] computes its gradient.
+    needs_grad: bool,
 }
 
 /// The autograd tape.
 ///
-/// Cloning a graph clones node values and gradients but shares the constant
-/// payloads ([`Arc`]), so a sealed parameter tape can be cheaply duplicated
-/// per worker for data-parallel gradient computation.
+/// Parameter values live in one block shared copy-on-write through an
+/// [`Arc`]: cloning a graph copies its transient nodes and gradients but not
+/// its parameters, and the worker tapes of data-parallel training
+/// ([`crate::WorkerTapes`]) read the master's parameters in place.  Gradient
+/// buffers are allocated by the first [`Graph::backward`] that writes them,
+/// so forward-only (inference) passes allocate none.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
-    nodes: Vec<Node>,
+    params: Arc<Vec<Param>>,
+    /// Number of parameters: `Var(i)` is `params[i]` below it and
+    /// `nodes[i - persistent]` from it on.
     persistent: usize,
+    nodes: Vec<Node>,
+    /// One slot per node (parameters first); `None` until a gradient is
+    /// written.
+    grads: Vec<Option<Tensor>>,
     sealed: bool,
 }
 
 impl Graph {
     /// An empty tape.
     pub fn new() -> Graph {
-        Graph { nodes: Vec::new(), persistent: 0, sealed: false }
+        Graph::default()
+    }
+
+    fn needs_grad(&self, i: usize) -> bool {
+        i < self.persistent || self.nodes[i - self.persistent].needs_grad
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        let grad = Tensor::zeros(value.rows(), value.cols());
-        self.nodes.push(Node { value, grad, op });
-        Var(self.nodes.len() - 1)
+        let needs_grad = op.operands().iter().flatten().any(|&a| self.needs_grad(a));
+        self.push_node(value, op, needs_grad)
+    }
+
+    fn push_node(&mut self, value: Tensor, op: Op, needs_grad: bool) -> Var {
+        self.nodes.push(Node { value, op, needs_grad });
+        self.grads.push(None);
+        Var(self.grads.len() - 1)
     }
 
     /// Creates a persistent leaf (a trainable parameter).  Must be called
     /// before [`Graph::seal`].
     pub fn parameter(&mut self, value: Tensor) -> Var {
         assert!(!self.sealed, "parameters must be created before seal()");
-        let v = self.push(value, Op::Leaf);
-        self.persistent = self.nodes.len();
-        v
+        assert!(self.nodes.is_empty(), "parameters must be created before any transient node");
+        let grad = Tensor::zeros(value.rows(), value.cols());
+        Arc::make_mut(&mut self.params).push(Param { value, transposed: OnceLock::new() });
+        self.grads.push(Some(grad));
+        self.persistent += 1;
+        Var(self.persistent - 1)
     }
 
     /// Marks the end of the persistent (parameter) prefix.
@@ -185,91 +244,153 @@ impl Graph {
         self.sealed = true;
     }
 
-    /// Removes every transient node and zeroes all gradients.  Parameters keep
-    /// their values.
+    /// Removes every transient node.  Parameters keep their values and
+    /// gradients; [`Graph::backward`] zeroes the gradients it accumulates
+    /// into.
     pub fn reset(&mut self) {
-        self.nodes.truncate(self.persistent);
-        for n in &mut self.nodes {
-            n.grad.fill_zero();
-        }
+        self.nodes.clear();
+        self.grads.truncate(self.persistent);
     }
 
-    /// Creates a transient leaf (an input).
+    /// Creates a transient leaf (an input) whose gradient
+    /// [`Graph::backward`] computes.
     pub fn input(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        self.push_node(value, Op::Leaf, true)
+    }
+
+    /// Creates a transient leaf that never receives a gradient (a network
+    /// input, a target, a fixed offset).  Operations that read only
+    /// constants get no gradient either, so `backward` skips their work.
+    pub fn constant(&mut self, value: Tensor) -> Var {
+        self.push_node(value, Op::Leaf, false)
     }
 
     /// The value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        node_value(&self.params, &self.nodes, self.persistent, v.0)
     }
 
     /// The gradient of a node (valid after [`Graph::backward`]).
+    ///
+    /// # Panics
+    /// Panics if the node has no gradient: a constant, or a transient node
+    /// no backward pass has reached.
     pub fn grad(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].grad
+        self.grads[v.0].as_ref().expect("node has no gradient")
     }
 
-    /// Accumulates an externally computed gradient into a node (used to merge
-    /// the per-microbatch gradients of data-parallel training before an
-    /// optimizer step).
+    /// The gradient buffer of a node, allocated (zeroed) on first use.
+    pub(crate) fn grad_mut(&mut self, v: Var) -> &mut Tensor {
+        let (rows, cols) = self.value(v).shape();
+        self.grads[v.0].get_or_insert_with(|| Tensor::zeros(rows, cols))
+    }
+
+    /// Accumulates an externally computed gradient into a node.
     pub fn add_grad(&mut self, v: Var, grad: &Tensor) {
-        self.nodes[v.0].grad.add_assign(grad);
+        self.grad_mut(v).add_assign(grad);
     }
 
     /// Zeroes the gradient of every node on the tape.
     pub fn zero_grads(&mut self) {
-        for n in &mut self.nodes {
-            n.grad.fill_zero();
+        for g in self.grads.iter_mut().flatten() {
+            g.fill_zero();
         }
     }
 
     /// Overwrites the value of a (parameter) node in place.
     pub fn set_value(&mut self, v: Var, value: Tensor) {
-        assert_eq!(self.nodes[v.0].value.shape(), value.shape(), "shape mismatch in set_value");
-        self.nodes[v.0].value = value;
+        let slot = self.value_mut(v);
+        assert_eq!(slot.shape(), value.shape(), "shape mismatch in set_value");
+        *slot = value;
     }
 
-    /// Mutable access to a node value (used by optimizers for in-place updates).
+    /// Mutable access to a node value.
     pub fn value_mut(&mut self, v: Var) -> &mut Tensor {
-        &mut self.nodes[v.0].value
+        if v.0 < self.persistent {
+            let param = &mut Arc::make_mut(&mut self.params)[v.0];
+            param.transposed.take();
+            &mut param.value
+        } else {
+            &mut self.nodes[v.0 - self.persistent].value
+        }
+    }
+
+    /// A parameter's value and gradient, borrowed together so optimizers
+    /// update the value in place from the gradient without copying it.
+    pub fn value_and_grad_mut(&mut self, v: Var) -> (&mut Tensor, &Tensor) {
+        assert!(v.0 < self.persistent, "only parameters are updated from their gradient");
+        let grad = self.grads[v.0].as_ref().expect("parameters always have a gradient");
+        let param = &mut Arc::make_mut(&mut self.params)[v.0];
+        param.transposed.take();
+        (&mut param.value, grad)
     }
 
     /// Number of nodes currently on the tape.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.grads.len()
     }
 
     /// `true` if the tape has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.grads.is_empty()
+    }
+
+    /// A tape for `master`'s parameters that holds none of their values: it
+    /// has its own zeroed parameter gradients and must be attached with
+    /// [`Graph::share_parameters`] before use.
+    pub(crate) fn detached_worker(master: &Graph) -> Graph {
+        Graph {
+            params: Arc::default(),
+            persistent: master.persistent,
+            nodes: Vec::new(),
+            grads: master
+                .params
+                .iter()
+                .map(|p| Some(Tensor::zeros(p.value.rows(), p.value.cols())))
+                .collect(),
+            sealed: true,
+        }
+    }
+
+    /// Drops the transient nodes and reads `master`'s parameter values (one
+    /// reference count, no copy) until [`Graph::release_parameters`].
+    pub(crate) fn share_parameters(&mut self, master: &Graph) {
+        assert_eq!(self.persistent, master.persistent, "worker and master parameters differ");
+        self.reset();
+        self.params = Arc::clone(&master.params);
+    }
+
+    /// Drops the reference to the shared parameter values, so the master can
+    /// update them in place.
+    pub(crate) fn release_parameters(&mut self) {
+        self.params = Arc::default();
     }
 
     // ---- operations -------------------------------------------------------
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
+        let value = self.value(a).matmul(self.value(b));
         self.push(value, Op::MatMul(a.0, b.0))
     }
 
     /// Element-wise sum of two same-shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
-        value.add_assign(&self.nodes[b.0].value);
+        let mut value = self.value(a).clone();
+        value.add_assign(self.value(b));
         self.push(value, Op::Add(a.0, b.0))
     }
 
     /// Adds a `1×n` bias row to every row of an `m×n` node.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let xv = &self.nodes[x.0].value;
-        let bv = &self.nodes[bias.0].value;
+        let xv = self.value(x);
+        let bv = self.value(bias);
         assert_eq!(bv.rows(), 1, "bias must be a row vector");
         assert_eq!(bv.cols(), xv.cols(), "bias width must match");
         let mut value = xv.clone();
-        for r in 0..value.rows() {
-            for c in 0..value.cols() {
-                let v = value.get(r, c) + bv.get(0, c);
-                value.set(r, c, v);
+        for row in value.data_mut().chunks_mut(bv.cols().max(1)) {
+            for (v, b) in row.iter_mut().zip(bv.data()) {
+                *v += b;
             }
         }
         self.push(value, Op::AddBias(x.0, bias.0))
@@ -277,7 +398,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.value(a).clone();
         for v in value.data_mut() {
             if *v < 0.0 {
                 *v = 0.0;
@@ -288,7 +409,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.value(a).clone();
         for v in value.data_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
@@ -297,7 +418,7 @@ impl Graph {
 
     /// Multiplies every element by a scalar constant.
     pub fn scale(&mut self, a: Var, k: f64) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.value(a).clone();
         for v in value.data_mut() {
             *v *= k;
         }
@@ -306,7 +427,7 @@ impl Graph {
 
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&mut self, a: Var, k: f64) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.value(a).clone();
         for v in value.data_mut() {
             *v += k;
         }
@@ -317,7 +438,7 @@ impl Graph {
     /// node's full element count, or has length `cols` and is broadcast across
     /// every row of a batched node.
     pub fn mul_const(&mut self, a: Var, constant: Arc<Vec<f64>>) -> Var {
-        let mut value = self.nodes[a.0].value.clone();
+        let mut value = self.value(a).clone();
         let cols = value.cols();
         if constant.len() == value.len() {
             for (v, c) in value.data_mut().iter_mut().zip(constant.iter()) {
@@ -342,7 +463,7 @@ impl Graph {
     /// `R×M.cols()` node; the result is an `R×M.rows()` node (`1×M.rows()`
     /// for a single sample).
     pub fn sparse_matvec(&mut self, a: Var, matrix: Arc<SparseMatrix>) -> Var {
-        let x = &self.nodes[a.0].value;
+        let x = self.value(a);
         assert_eq!(x.cols(), matrix.cols(), "node width must match the matrix column count");
         let rows = x.rows();
         let mut out = Tensor::zeros(rows, matrix.rows());
@@ -359,7 +480,7 @@ impl Graph {
     /// must be non-negative; an all-zero segment yields a uniform distribution
     /// over that segment.
     pub fn segment_normalize(&mut self, a: Var, segments: Arc<Vec<Range<usize>>>) -> Var {
-        let value = &self.nodes[a.0].value;
+        let value = self.value(a);
         let cols = value.cols();
         let mut out = value.clone();
         for row in out.data_mut().chunks_mut(cols) {
@@ -383,7 +504,7 @@ impl Graph {
     /// Per-segment maximum of every row; the result has one column per
     /// segment.  Empty segments yield 0.
     pub fn segment_max(&mut self, a: Var, segments: Arc<Vec<Range<usize>>>) -> Var {
-        let value = &self.nodes[a.0].value;
+        let value = self.value(a);
         let cols = value.cols();
         let rows = value.rows();
         let mut out = Tensor::zeros(rows, segments.len());
@@ -398,14 +519,14 @@ impl Graph {
 
     /// Maximum element over the whole node (a `1×1` result).
     pub fn max(&mut self, a: Var) -> Var {
-        let m = self.nodes[a.0].value.data().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let m = self.value(a).data().iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         self.push(Tensor::scalar(m), Op::Max(a.0))
     }
 
     /// Per-row maximum (an `R×1` result); the batched counterpart of
     /// [`Graph::max`].
     pub fn row_max(&mut self, a: Var) -> Var {
-        let value = &self.nodes[a.0].value;
+        let value = self.value(a);
         let cols = value.cols();
         assert!(cols > 0, "row_max requires at least one column");
         let rows = value.rows();
@@ -422,16 +543,16 @@ impl Graph {
 
     /// Sum of all elements (a `1×1` result).
     pub fn sum(&mut self, a: Var) -> Var {
-        let s: f64 = self.nodes[a.0].value.data().iter().sum();
+        let s: f64 = self.value(a).data().iter().sum();
         self.push(Tensor::scalar(s), Op::Sum(a.0))
     }
 
     /// Arithmetic mean of all elements (a `1×1` result); the standard batch
     /// reduction of per-sample losses.
     pub fn mean(&mut self, a: Var) -> Var {
-        let n = self.nodes[a.0].value.len();
+        let n = self.value(a).len();
         assert!(n > 0, "mean of an empty node");
-        let s: f64 = self.nodes[a.0].value.data().iter().sum();
+        let s: f64 = self.value(a).data().iter().sum();
         self.push(Tensor::scalar(s / n as f64), Op::Mean(a.0))
     }
 
@@ -444,8 +565,7 @@ impl Graph {
     /// sub-gradient of the exact maximum.
     pub fn logsumexp(&mut self, a: Var, temperature: f64) -> Var {
         assert!(temperature > 0.0, "temperature must be positive");
-        let x = self.nodes[a.0].value.data();
-        let value = logsumexp_slice(x, temperature);
+        let value = logsumexp_slice(self.value(a).data(), temperature);
         self.push(Tensor::scalar(value), Op::LogSumExp(a.0, temperature))
     }
 
@@ -453,7 +573,7 @@ impl Graph {
     /// [`Graph::logsumexp`].
     pub fn row_logsumexp(&mut self, a: Var, temperature: f64) -> Var {
         assert!(temperature > 0.0, "temperature must be positive");
-        let value = &self.nodes[a.0].value;
+        let value = self.value(a);
         let cols = value.cols();
         assert!(cols > 0, "row_logsumexp requires at least one column");
         let rows = value.rows();
@@ -467,7 +587,7 @@ impl Graph {
     /// Dot product of every row with a constant vector (an `R×1` result; a
     /// `1×1` scalar for a single row).
     pub fn dot_const(&mut self, a: Var, constant: Arc<Vec<f64>>) -> Var {
-        let value = &self.nodes[a.0].value;
+        let value = self.value(a);
         let cols = value.cols();
         assert_eq!(constant.len(), cols, "constant length must match the column count");
         let rows = value.rows();
@@ -483,240 +603,274 @@ impl Graph {
     // ---- backward ---------------------------------------------------------
 
     /// Back-propagates from `loss` (which must be `1×1`), accumulating
-    /// gradients into every node reachable from it.
+    /// gradients into every node reachable from it that depends on a
+    /// parameter or an input leaf.
+    ///
+    /// Every gradient buffer is zeroed here, once.  Each operand gradient is
+    /// then the in-order sum of its consumers' contributions, and each
+    /// contribution is computed exactly as if into a fresh zero tensor and
+    /// then added — a reduction whose target already holds another
+    /// consumer's contribution goes through a scratch buffer — so the bits
+    /// do not depend on how the buffers are reused.
     pub fn backward(&mut self, loss: Var) {
-        assert_eq!(self.nodes[loss.0].value.shape(), (1, 1), "loss must be a scalar");
-        for n in &mut self.nodes {
-            n.grad.fill_zero();
+        assert_eq!(self.value(loss).shape(), (1, 1), "loss must be a scalar");
+        for i in 0..self.len() {
+            let needed = i <= loss.0 && self.needs_grad(i);
+            let (rows, cols) = self.value(Var(i)).shape();
+            match &mut self.grads[i] {
+                Some(g) => g.fill_zero(),
+                slot if needed => *slot = Some(Tensor::zeros(rows, cols)),
+                None => {}
+            }
         }
-        self.nodes[loss.0].grad = Tensor::scalar(1.0);
-        for i in (0..=loss.0).rev() {
-            let op = self.nodes[i].op.clone();
-            let grad = self.nodes[i].grad.clone();
+        if !self.needs_grad(loss.0) {
+            return;
+        }
+        self.grads[loss.0] = Some(Tensor::scalar(1.0));
+        let Graph { params, persistent, nodes, grads, .. } = self;
+        let (params, persistent) = (params.as_slice(), *persistent);
+        let value = |j: usize| node_value(params, nodes, persistent, j);
+        let needs = |j: usize| j < persistent || nodes[j - persistent].needs_grad;
+        // `fresh[j]`: no contribution has reached node j's gradient yet.
+        let mut fresh = vec![true; loss.0];
+        for i in (persistent..=loss.0).rev() {
+            let (lower, upper) = grads.split_at_mut(i);
+            let Some(grad) = upper[0].as_ref() else { continue };
             if grad.data().iter().all(|g| *g == 0.0) {
                 continue;
             }
-            match op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let a_val = self.nodes[a].value.clone();
-                    let b_val = self.nodes[b].value.clone();
-                    let da = grad.matmul(&b_val.transpose());
-                    let db = a_val.transpose().matmul(&grad);
-                    self.nodes[a].grad.add_assign(&da);
-                    self.nodes[b].grad.add_assign(&db);
-                }
-                Op::Add(a, b) => {
-                    self.nodes[a].grad.add_assign(&grad);
-                    self.nodes[b].grad.add_assign(&grad);
-                }
-                Op::AddBias(x, bias) => {
-                    self.nodes[x].grad.add_assign(&grad);
-                    let cols = grad.cols();
-                    let mut bias_grad = Tensor::zeros(1, cols);
-                    for r in 0..grad.rows() {
-                        for c in 0..cols {
-                            let v = bias_grad.get(0, c) + grad.get(r, c);
-                            bias_grad.set(0, c, v);
+            let g = grad.data();
+            let node = &nodes[i - persistent];
+            // Distinct operands only: `add(x, x)` reaches `x` once, twice over.
+            let [p, q] = node.op.operands();
+            let q = q.filter(|&q| Some(q) != p);
+            for a in [p, q].into_iter().flatten().filter(|&a| needs(a)) {
+                let target = lower[a].as_mut().expect("gradient buffers were allocated above");
+                let da = target.data_mut();
+                let first = std::mem::replace(&mut fresh[a], false);
+                match &node.op {
+                    Op::Leaf => unreachable!("leaves have no operands"),
+                    Op::MatMul(x, w) => {
+                        if a == *x {
+                            // dX = G · Wᵀ; a parameter's transpose is built
+                            // once and shared until its value changes.
+                            let owned;
+                            let wt = if *w < persistent {
+                                let p = &params[*w];
+                                p.transposed.get_or_init(|| p.value.transpose())
+                            } else {
+                                owned = value(*w).transpose();
+                                &owned
+                            };
+                            accumulate(da, first, |buf| matmul_acc(grad, wt, buf));
+                        }
+                        if a == *w {
+                            // dW = Xᵀ · G, without materializing Xᵀ.
+                            let first = first && a != *x;
+                            accumulate(da, first, |buf| matmul_tn_acc(value(*x), grad, buf));
                         }
                     }
-                    self.nodes[bias].grad.add_assign(&bias_grad);
-                }
-                Op::Relu(a) => {
-                    let mut da = grad.clone();
-                    for (g, v) in da.data_mut().iter_mut().zip(self.nodes[a].value.data()) {
-                        if *v <= 0.0 {
-                            *g = 0.0;
+                    Op::Add(x, y) => {
+                        let times = usize::from(a == *x) + usize::from(a == *y);
+                        for _ in 0..times {
+                            add_into(da, g);
                         }
                     }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Sigmoid(a) => {
-                    let out = self.nodes[i].value.clone();
-                    let mut da = grad.clone();
-                    for (g, y) in da.data_mut().iter_mut().zip(out.data()) {
-                        *g *= y * (1.0 - y);
-                    }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Scale(a, k) => {
-                    self.nodes[a].grad.axpy(k, &grad);
-                }
-                Op::AddScalar(a) => {
-                    self.nodes[a].grad.add_assign(&grad);
-                }
-                Op::MulConst(a, c) => {
-                    let mut da = grad.clone();
-                    if c.len() == da.len() {
-                        for (g, k) in da.data_mut().iter_mut().zip(c.iter()) {
-                            *g *= k;
+                    Op::AddBias(x, bias) => {
+                        if a == *x {
+                            add_into(da, g);
                         }
-                    } else {
-                        let cols = da.cols();
-                        for row in da.data_mut().chunks_mut(cols) {
-                            for (g, k) in row.iter_mut().zip(c.iter()) {
-                                *g *= k;
+                        if a == *bias {
+                            let first = first && a != *x;
+                            accumulate(da, first, |buf| {
+                                for row in g.chunks(buf.len().max(1)) {
+                                    add_into(buf, row);
+                                }
+                            });
+                        }
+                    }
+                    Op::Relu(_) => {
+                        for ((d, g), v) in da.iter_mut().zip(g).zip(value(a).data()) {
+                            *d += if *v <= 0.0 { 0.0 } else { *g };
+                        }
+                    }
+                    Op::Sigmoid(_) => {
+                        for ((d, g), y) in da.iter_mut().zip(g).zip(node.value.data()) {
+                            *d += g * (y * (1.0 - y));
+                        }
+                    }
+                    Op::Scale(_, k) => {
+                        for (d, g) in da.iter_mut().zip(g) {
+                            *d += k * g;
+                        }
+                    }
+                    Op::AddScalar(_) => add_into(da, g),
+                    Op::MulConst(_, c) => {
+                        let period = if c.len() == da.len() { da.len() } else { c.len() };
+                        for (drow, grow) in da.chunks_mut(period).zip(g.chunks(period)) {
+                            for ((d, g), k) in drow.iter_mut().zip(grow).zip(c.iter()) {
+                                *d += g * k;
                             }
                         }
                     }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::SparseMatVec(a, m) => {
-                    let rows = self.nodes[a].value.rows();
-                    let mut da = vec![0.0; rows * m.cols()];
-                    for r in 0..rows {
-                        let gy = &grad.data()[r * m.rows()..(r + 1) * m.rows()];
-                        let dx = &mut da[r * m.cols()..(r + 1) * m.cols()];
-                        m.add_transpose_matvec(gy, dx);
+                    Op::SparseMatVec(_, m) => {
+                        accumulate(da, first, |buf| {
+                            for r in 0..value(a).rows() {
+                                let gy = &g[r * m.rows()..(r + 1) * m.rows()];
+                                let dx = &mut buf[r * m.cols()..(r + 1) * m.cols()];
+                                m.add_transpose_matvec(gy, dx);
+                            }
+                        });
                     }
-                    let da = Tensor::from_vec(rows, m.cols(), da);
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::SegmentNormalize(a, segments) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let x = value.data().to_vec();
-                    let mut da = vec![0.0; x.len()];
-                    for r in 0..rows {
-                        let base = r * cols;
-                        for seg in segments.iter() {
-                            let sum: f64 = seg.clone().map(|i| x[base + i]).sum();
-                            if sum <= 0.0 {
-                                // Uniform output does not depend on the input.
-                                continue;
-                            }
-                            let gdotx: f64 = seg
-                                .clone()
-                                .map(|i| grad.data()[base + i] * x[base + i])
-                                .sum::<f64>()
-                                / (sum * sum);
-                            for i in seg.clone() {
-                                da[base + i] += grad.data()[base + i] / sum - gdotx;
-                            }
-                        }
-                    }
-                    let da = Tensor::from_vec(rows, cols, da);
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::SegmentMax(a, segments) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let x = value.data();
-                    let mut da = vec![0.0; x.len()];
-                    for r in 0..rows {
-                        let base = r * cols;
-                        for (s, seg) in segments.iter().enumerate() {
-                            if seg.is_empty() {
-                                continue;
-                            }
-                            // Sub-gradient: route to the first argmax of the segment.
-                            let mut best = seg.start;
-                            for i in seg.clone() {
-                                if x[base + i] > x[base + best] {
-                                    best = i;
+                    Op::SegmentNormalize(_, segments) => {
+                        let x = value(a);
+                        let cols = x.cols();
+                        let x = x.data();
+                        accumulate(da, first, |buf| {
+                            for (r, row) in buf.chunks_mut(cols.max(1)).enumerate() {
+                                let base = r * cols;
+                                for seg in segments.iter() {
+                                    let sum: f64 = seg.clone().map(|i| x[base + i]).sum();
+                                    if sum <= 0.0 {
+                                        // Uniform output does not depend on the input.
+                                        continue;
+                                    }
+                                    let gdotx: f64 =
+                                        seg.clone().map(|i| g[base + i] * x[base + i]).sum::<f64>()
+                                            / (sum * sum);
+                                    for i in seg.clone() {
+                                        row[i] += g[base + i] / sum - gdotx;
+                                    }
                                 }
                             }
-                            let g = grad.get(r, s);
-                            if x[base + best] > 0.0 || g != 0.0 {
-                                da[base + best] += g;
+                        });
+                    }
+                    Op::SegmentMax(_, segments) => {
+                        let x = value(a);
+                        let cols = x.cols();
+                        let x = x.data();
+                        let per_row = segments.len();
+                        accumulate(da, first, |buf| {
+                            for (r, row) in buf.chunks_mut(cols.max(1)).enumerate() {
+                                let base = r * cols;
+                                for (s, seg) in segments.iter().enumerate() {
+                                    if seg.is_empty() {
+                                        continue;
+                                    }
+                                    // Sub-gradient: route to the first argmax of the segment.
+                                    let mut best = seg.start;
+                                    for i in seg.clone() {
+                                        if x[base + i] > x[base + best] {
+                                            best = i;
+                                        }
+                                    }
+                                    let gs = g[r * per_row + s];
+                                    if x[base + best] > 0.0 || gs != 0.0 {
+                                        row[best] += gs;
+                                    }
+                                }
                             }
-                        }
+                        });
                     }
-                    let da = Tensor::from_vec(rows, cols, da);
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Max(a) => {
-                    let x = self.nodes[a].value.data();
-                    let mut best = 0usize;
-                    for (j, v) in x.iter().enumerate() {
-                        if *v > x[best] {
-                            best = j;
-                        }
-                    }
-                    let mut da =
-                        Tensor::zeros(self.nodes[a].value.rows(), self.nodes[a].value.cols());
-                    da.data_mut()[best] = grad.as_scalar();
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::RowMax(a) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let x = value.data();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let base = r * cols;
+                    Op::Max(_) => {
+                        let x = value(a).data();
                         let mut best = 0usize;
-                        for c in 1..cols {
-                            if x[base + c] > x[base + best] {
-                                best = c;
+                        for (j, v) in x.iter().enumerate() {
+                            if *v > x[best] {
+                                best = j;
                             }
                         }
-                        da.set(r, best, grad.get(r, 0));
+                        da[best] += g[0];
                     }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Sum(a) => {
-                    let g = grad.as_scalar();
-                    let da =
-                        Tensor::full(self.nodes[a].value.rows(), self.nodes[a].value.cols(), g);
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::Mean(a) => {
-                    let n = self.nodes[a].value.len();
-                    let g = grad.as_scalar() / n as f64;
-                    let da =
-                        Tensor::full(self.nodes[a].value.rows(), self.nodes[a].value.cols(), g);
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::DotConst(a, c) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let g = grad.get(r, 0);
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for (ci, k) in c.iter().enumerate() {
-                            da.set(r, ci, g * k);
+                    Op::RowMax(_) => {
+                        let x = value(a);
+                        let cols = x.cols();
+                        for (r, (drow, xrow)) in
+                            da.chunks_mut(cols).zip(x.data().chunks(cols)).enumerate()
+                        {
+                            let mut best = 0usize;
+                            for c in 1..cols {
+                                if xrow[c] > xrow[best] {
+                                    best = c;
+                                }
+                            }
+                            drow[best] += g[r];
                         }
                     }
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::LogSumExp(a, temperature) => {
-                    let g = grad.as_scalar();
-                    let x = self.nodes[a].value.data();
-                    let mut da =
-                        Tensor::zeros(self.nodes[a].value.rows(), self.nodes[a].value.cols());
-                    logsumexp_grad_slice(x, temperature, g, da.data_mut());
-                    self.nodes[a].grad.add_assign(&da);
-                }
-                Op::RowLogSumExp(a, temperature) => {
-                    let value = &self.nodes[a].value;
-                    let cols = value.cols();
-                    let rows = value.rows();
-                    let mut da = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let g = grad.get(r, 0);
-                        if g == 0.0 {
-                            continue;
+                    Op::Sum(_) => {
+                        for d in da.iter_mut() {
+                            *d += g[0];
                         }
-                        let x = &value.data()[r * cols..(r + 1) * cols];
-                        logsumexp_grad_slice(
-                            x,
-                            temperature,
-                            g,
-                            &mut da.data_mut()[r * cols..(r + 1) * cols],
-                        );
                     }
-                    self.nodes[a].grad.add_assign(&da);
+                    Op::Mean(_) => {
+                        let share = g[0] / da.len() as f64;
+                        for d in da.iter_mut() {
+                            *d += share;
+                        }
+                    }
+                    Op::DotConst(_, c) => {
+                        for (drow, &gr) in da.chunks_mut(c.len().max(1)).zip(g) {
+                            if gr == 0.0 {
+                                continue;
+                            }
+                            for (d, k) in drow.iter_mut().zip(c.iter()) {
+                                *d += gr * k;
+                            }
+                        }
+                    }
+                    Op::LogSumExp(_, temperature) => {
+                        logsumexp_grad_slice(value(a).data(), *temperature, g[0], da);
+                    }
+                    Op::RowLogSumExp(_, temperature) => {
+                        let x = value(a);
+                        let cols = x.cols();
+                        for ((drow, xrow), &gr) in
+                            da.chunks_mut(cols).zip(x.data().chunks(cols)).zip(g)
+                        {
+                            if gr != 0.0 {
+                                logsumexp_grad_slice(xrow, *temperature, gr, drow);
+                            }
+                        }
+                    }
                 }
             }
         }
+    }
+}
+
+/// The value of node `i` of a tape with `persistent` parameters.
+fn node_value<'a>(
+    params: &'a [Param],
+    nodes: &'a [Node],
+    persistent: usize,
+    i: usize,
+) -> &'a Tensor {
+    if i < persistent {
+        &params[i].value
+    } else {
+        &nodes[i - persistent].value
+    }
+}
+
+/// `dst += src` element-wise.
+fn add_into(dst: &mut [f64], src: &[f64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// Adds a reduction's contribution to a gradient buffer: `write` accumulates
+/// the contribution into the buffer it is given, which starts at zero.  The
+/// first contribution to reach a (zeroed) buffer is accumulated in place; a
+/// later one goes through a scratch buffer, so the result is always
+/// `old + (0 + t₁ + t₂ + …)` as the textbook compute-then-add order has it.
+fn accumulate(target: &mut [f64], first: bool, write: impl FnOnce(&mut [f64])) {
+    if first {
+        write(target);
+    } else {
+        let mut scratch = vec![0.0; target.len()];
+        write(&mut scratch);
+        add_into(target, &scratch);
     }
 }
 
@@ -726,12 +880,13 @@ fn logsumexp_slice(x: &[f64], temperature: f64) -> f64 {
     m + temperature * sum.ln()
 }
 
+/// `out += upstream · softmax(x / T)`.
 fn logsumexp_grad_slice(x: &[f64], temperature: f64, upstream: f64, out: &mut [f64]) {
     let m = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let weights: Vec<f64> = x.iter().map(|v| ((v - m) / temperature).exp()).collect();
     let total: f64 = weights.iter().sum();
     for (d, w) in out.iter_mut().zip(&weights) {
-        *d = upstream * w / total;
+        *d += upstream * w / total;
     }
 }
 
@@ -990,6 +1145,49 @@ mod tests {
         // ...while the original tape's gradient storage stays untouched.
         assert_eq!(g.grad(w).data(), &[0.0, 0.0]);
         assert_eq!(g.value(w).data(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn forward_only_passes_allocate_no_gradients() {
+        let mut g = Graph::new();
+        let w = g.parameter(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        g.seal();
+        let x = g.constant(Tensor::row(&[1.0, -1.0]));
+        let y = g.matmul(x, w);
+        let r = g.relu(y);
+        let loss = g.sum(r);
+        assert!(g.grads[x.0..].iter().all(Option::is_none), "inference allocates no gradients");
+        g.backward(loss);
+        assert!(g.grads[x.0].is_none(), "a constant never receives a gradient");
+        assert_eq!(g.grad(w).data(), &[0.0, 0.0, 0.0, 0.0], "relu(-1, -2) passes nothing back");
+        g.reset();
+        assert_eq!(g.len(), 1, "reset keeps only the parameter and its gradient");
+    }
+
+    #[test]
+    fn worker_tapes_release_the_master_and_reduce_in_chunk_order() {
+        let mut master = Graph::new();
+        let w = master.parameter(Tensor::from_vec(2, 1, vec![0.5, -1.5]));
+        master.seal();
+        let rows = [[1.0, 2.0], [3.0, -4.0], [0.25, 8.0]];
+        let loss_of = |tape: &mut Graph, row: &[f64; 2]| {
+            let x = tape.constant(Tensor::row(row));
+            let y = tape.matmul(x, w);
+            let loss = tape.sum(y);
+            tape.backward(loss);
+            tape.value(loss).as_scalar()
+        };
+        let mut workers = crate::WorkerTapes::new(&master, rows.len());
+        let losses = workers.run(&master, rows.iter().collect(), loss_of);
+        assert_eq!(losses, vec![-2.5, 7.5, -11.875]);
+        assert_eq!(Arc::strong_count(&master.params), 1, "workers must not pin the master");
+        workers.reduce_into(&mut master, &[w], 0.5);
+        let mut expected = [0.0, 0.0];
+        for row in &rows {
+            expected[0] += row[0];
+            expected[1] += row[1];
+        }
+        assert_eq!(master.grad(w).data(), &[expected[0] * 0.5, expected[1] * 0.5]);
     }
 
     #[test]

@@ -32,12 +32,14 @@ pub mod layers;
 pub mod optim;
 pub mod plan;
 pub mod tensor;
+pub mod workers;
 
 pub use graph::{Graph, SparseMatrix, Var};
 pub use layers::{Mlp, MlpConfig, OutputActivation};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use plan::InferencePlan;
 pub use tensor::Tensor;
+pub use workers::WorkerTapes;
 
 #[cfg(test)]
 mod gradient_check {

@@ -35,8 +35,8 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, graph: &mut Graph) {
         for &p in &self.params {
-            let grad = graph.grad(p).clone();
-            graph.value_mut(p).axpy(-self.learning_rate, &grad);
+            let (value, grad) = graph.value_and_grad_mut(p);
+            value.axpy(-self.learning_rate, grad);
         }
     }
 
@@ -103,14 +103,13 @@ impl Optimizer for Adam {
         let bias1 = 1.0 - c.beta1.powf(t);
         let bias2 = 1.0 - c.beta2.powf(t);
         for (i, &p) in self.params.iter().enumerate() {
-            let grad = graph.grad(p).clone();
+            let (value, grad) = graph.value_and_grad_mut(p);
             let m = &mut self.first_moment[i];
             let v = &mut self.second_moment[i];
             for ((g, m), v) in grad.data().iter().zip(m.data_mut()).zip(v.data_mut()) {
                 *m = c.beta1 * *m + (1.0 - c.beta1) * g;
                 *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
             }
-            let value = graph.value_mut(p);
             for ((x, m), v) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
                 let m_hat = m / bias1;
                 let v_hat = v / bias2;

@@ -159,21 +159,8 @@ impl Tensor {
 
     /// Matrix product `self · other`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
+        matmul_acc(self, other, &mut out.data);
         out
     }
 
@@ -198,6 +185,62 @@ impl Tensor {
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    }
+}
+
+/// Rows of the left operand that [`matmul_acc`] walks together: each row of
+/// the right operand (a weight row, in a dense layer) is read once per block
+/// of rows instead of once per row.
+const ROW_BLOCK: usize = 8;
+
+/// `out += a · b`, with `out` the row-major `a.rows() × b.cols()` buffer.
+///
+/// The loop is k-outer inside blocks of [`ROW_BLOCK`] rows, and the inner
+/// loop is an axpy over a contiguous row of `b`.  Every output element still
+/// adds its products in ascending `k` (skipping zero entries of `a`), so the
+/// result is bit-identical to the textbook `i`-outer, `k`-inner product.
+pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
+    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
+    assert_eq!(out.len(), a.rows * b.cols, "output must be rows(a) × cols(b)");
+    let (inner, n) = (a.cols, b.cols);
+    for start in (0..a.rows).step_by(ROW_BLOCK) {
+        let rows = start..(start + ROW_BLOCK).min(a.rows);
+        for k in 0..inner {
+            let row_b = &b.data[k * n..(k + 1) * n];
+            for i in rows.clone() {
+                let x = a.data[i * inner + k];
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, w) in out[i * n..(i + 1) * n].iter_mut().zip(row_b) {
+                    *o += x * w;
+                }
+            }
+        }
+    }
+}
+
+/// `out += aᵀ · b` without materializing `aᵀ`, with `out` the row-major
+/// `a.cols() × b.cols()` buffer.
+///
+/// Output row `i` accumulates `a[k][i] · b[k]` over ascending `k` (skipping
+/// zero entries of `a`) while it stays in cache: bit-identical to
+/// `a.transpose().matmul(b)`.
+pub fn matmul_tn_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
+    assert_eq!(a.rows, b.rows, "outer dimensions must agree");
+    assert_eq!(out.len(), a.cols * b.cols, "output must be cols(a) × cols(b)");
+    let n = b.cols;
+    for i in 0..a.cols {
+        let row_out = &mut out[i * n..(i + 1) * n];
+        for k in 0..a.rows {
+            let x = a.data[k * a.cols + i];
+            if x == 0.0 {
+                continue;
+            }
+            for (o, w) in row_out.iter_mut().zip(&b.data[k * n..(k + 1) * n]) {
+                *o += x * w;
+            }
+        }
     }
 }
 

@@ -334,7 +334,7 @@ pub fn solve_iterative(problem: &MluProblem<'_>, settings: IterativeSettings) ->
         if let Some(bounds) = &bounds {
             let per_pair = diff.max_sensitivity_per_pair(&mut graph, ratios);
             let neg_bounds =
-                graph.input(Tensor::row(&bounds.iter().map(|b| -b).collect::<Vec<_>>()));
+                graph.constant(Tensor::row(&bounds.iter().map(|b| -b).collect::<Vec<_>>()));
             let excess = graph.add(per_pair, neg_bounds);
             let violation = graph.relu(excess);
             let penalty = graph
