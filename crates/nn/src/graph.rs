@@ -335,23 +335,6 @@ impl Graph {
         self.grads.is_empty()
     }
 
-    /// A tape for `master`'s parameters that holds none of their values: it
-    /// has its own zeroed parameter gradients and must be attached with
-    /// [`Graph::share_parameters`] before use.
-    pub(crate) fn detached_worker(master: &Graph) -> Graph {
-        Graph {
-            params: Arc::default(),
-            persistent: master.persistent,
-            nodes: Vec::new(),
-            grads: master
-                .params
-                .iter()
-                .map(|p| Some(Tensor::zeros(p.value.rows(), p.value.cols())))
-                .collect(),
-            sealed: true,
-        }
-    }
-
     /// Drops the transient nodes and reads `master`'s parameter values (one
     /// reference count, no copy) until [`Graph::release_parameters`].
     pub(crate) fn share_parameters(&mut self, master: &Graph) {

@@ -18,7 +18,7 @@
 //! let mut adam = Adam::new(&graph, mlp.parameters(), AdamConfig::default());
 //!
 //! graph.reset();
-//! let x = graph.input(Tensor::row(&[0.5; 8]));
+//! let x = graph.constant(Tensor::row(&[0.5; 8]));
 //! let y = mlp.forward(&mut graph, x);
 //! let loss = graph.sum(y);
 //! graph.backward(loss);

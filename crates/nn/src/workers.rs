@@ -21,7 +21,10 @@ pub struct WorkerTapes {
 impl WorkerTapes {
     /// `slots` worker tapes for the parameters of the sealed `master` tape.
     pub fn new(master: &Graph, slots: usize) -> WorkerTapes {
-        WorkerTapes { tapes: (0..slots).map(|_| Graph::detached_worker(master)).collect(), used: 0 }
+        let mut tape = master.clone();
+        tape.reset();
+        tape.release_parameters();
+        WorkerTapes { tapes: vec![tape; slots], used: 0 }
     }
 
     /// Runs `task` once per item, each on its own worker tape (in parallel),

@@ -58,7 +58,7 @@ proptest! {
             g.add_grad(p, &delta);
             let update = g.grad(p).clone();
             g.value_mut(p).add_assign(&update);
-            g.reset(); // clears gradients, keeps parameters
+            g.reset(); // keeps parameters; each gradient is read right after its only add
         }
         let segments = segments_for(output_dim, &cuts);
         let mut plan = InferencePlan::compile(&g, &mlp, segments.clone(), scale);
