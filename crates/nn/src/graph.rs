@@ -317,7 +317,7 @@ impl Graph {
 
     /// A parameter's value and gradient, borrowed together so optimizers
     /// update the value in place from the gradient without copying it.
-    pub fn value_and_grad_mut(&mut self, v: Var) -> (&mut Tensor, &Tensor) {
+    pub(crate) fn value_and_grad_mut(&mut self, v: Var) -> (&mut Tensor, &Tensor) {
         assert!(v.0 < self.persistent, "only parameters are updated from their gradient");
         let grad = self.grads[v.0].as_ref().expect("parameters always have a gradient");
         let param = &mut Arc::make_mut(&mut self.params)[v.0];
@@ -624,7 +624,8 @@ impl Graph {
             }
             let g = grad.data();
             let node = &nodes[i - persistent];
-            // Distinct operands only: `add(x, x)` reaches `x` once, twice over.
+            // Each distinct operand once; an op reading one node twice
+            // (`add(x, x)`) adds both contributions in that visit.
             let [p, q] = node.op.operands();
             let q = q.filter(|&q| Some(q) != p);
             for a in [p, q].into_iter().flatten().filter(|&a| needs(a)) {

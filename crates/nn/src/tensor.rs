@@ -199,7 +199,7 @@ const ROW_BLOCK: usize = 8;
 /// loop is an axpy over a contiguous row of `b`.  Every output element still
 /// adds its products in ascending `k` (skipping zero entries of `a`), so the
 /// result is bit-identical to the textbook `i`-outer, `k`-inner product.
-pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
+pub(crate) fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.len(), a.rows * b.cols, "output must be rows(a) × cols(b)");
     let (inner, n) = (a.cols, b.cols);
@@ -226,7 +226,7 @@ pub fn matmul_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
 /// Output row `i` accumulates `a[k][i] · b[k]` over ascending `k` (skipping
 /// zero entries of `a`) while it stays in cache: bit-identical to
 /// `a.transpose().matmul(b)`.
-pub fn matmul_tn_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
+pub(crate) fn matmul_tn_acc(a: &Tensor, b: &Tensor, out: &mut [f64]) {
     assert_eq!(a.rows, b.rows, "outer dimensions must agree");
     assert_eq!(out.len(), a.cols * b.cols, "output must be cols(a) × cols(b)");
     let n = b.cols;
