@@ -4,7 +4,8 @@
 //! its own tape in parallel.  The tapes of a [`WorkerTapes`] pool live for a
 //! whole training run: each one keeps its own parameter-gradient buffers but
 //! reads the master tape's parameter values in place (a shared reference,
-//! never a copy), so an optimizer step allocates no parameter-sized memory.
+//! never a copy), so no microbatch copies or allocates parameter-sized
+//! memory.
 
 use rayon::prelude::*;
 
